@@ -6,6 +6,14 @@ nonzero nonnegative combination of the rows vanishes. Conic decompositions
 are unique exactly when the rows are linearly independent, and the minimal
 generating subset of a cone is its set of extreme rays, unique up to
 positive scaling of each ray.
+
+As in convex, the nonnegative least-squares solves run in coordinates: the
+sweep in the row coordinates of the thin SVD of the rows left after scaled
+duplicates are collapsed (r of them, r their rank above roundoff), a
+decomposition in an orthonormal basis of its generators' span. The
+minimizer is the full-space one and each solve has r rows instead of one per
+entry. Acceptance stays the max-abs residual against eq_tol in the original
+space, where eq_tol is defined; coordinates keep Euclidean lengths only.
 """
 
 from __future__ import annotations
@@ -13,8 +21,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from .convex import nonneg_lstsq
-from .matrices import DEFAULT_TOL, DimensionMismatch, Tolerance, max_abs, numeric_rank
+from .convex import _decompositions, _sweep
+from .matrices import (
+    DEFAULT_TOL,
+    DimensionMismatch,
+    Tolerance,
+    first_distinct_rows,
+    max_abs,
+    numeric_rank,
+)
 
 __all__ = [
     "NotACone",
@@ -56,10 +71,7 @@ def conic_decompose(
         raise DimensionMismatch(
             f"target has dimension {v.shape[0]} but generators have {r.shape[1]}"
         )
-    w = nonneg_lstsq(r.T, v)
-    if max_abs(w @ r - v) > tol.eq_tol:
-        return None
-    return w
+    return next(_decompositions(v[:, None], r.T, tol, unit_sum=False))
 
 
 def wedge_is_cone(generators, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -115,22 +127,15 @@ def minimal_conic_generating_rows(
     depend on it.
     """
     r = _rows(rays)
-    if not wedge_is_cone(r, tol):
+    d = r.shape[1]
+    # rows whose sums all exceed 2 d eq_tol leave the LP nothing to find: any
+    # w in [0, 1]^m with sum >= 0.5 gives w @ r entries summing to more than
+    # d eq_tol, so one entry exceeds eq_tol
+    surely_cone = r.size > 0 and r.sum(axis=1).min() > 2 * d * tol.eq_tol
+    if not surely_cone and not wedge_is_cone(r, tol):
         raise NotACone("rows generate a wedge containing a line")
-    m = r.shape[0]
-    for i in range(m):
-        if max_abs(r[i]) <= tol.eq_tol:
-            raise NotACone(f"row {i} is numerically zero")
-    kept = []
-    for j in range(m):
-        if all(not rays_equal_up_to_scaling(r[i], r[j], tol) for i in kept):
-            kept.append(j)
-    order = list(kept) if scan_order is None else [i for i in scan_order if i in kept]
-    keep = set(kept)
-    for j in order:
-        others = [i for i in kept if i in keep and i != j]
-        if not others:
-            continue
-        if conic_decompose(r[j], r[others], tol) is not None:
-            keep.discard(j)
-    return sorted(keep)
+    zero = np.flatnonzero(np.abs(r).max(axis=1, initial=0.0) <= tol.eq_tol)
+    if zero.size:
+        raise NotACone(f"row {zero[0]} is numerically zero")
+    kept = first_distinct_rows(r, tol, scaled=True)
+    return _sweep(r.T, kept, scan_order, tol, unit_sum=False)

@@ -7,6 +7,16 @@ g_1 - g_m, ..., g_{m-1} - g_m are linearly independent; when they are not,
 every strictly positive ("open") decomposition can be shifted along a null
 direction into a second valid one. The greedy column sweep below reduces a
 finite set to its extreme points, the unique minimal generating subset.
+
+The nonnegative least-squares solves run in coordinates: the sweep in the
+column coordinates of the thin SVD of the columns left after near-duplicates
+are collapsed (r rows, r their rank above roundoff), a decomposition in an
+orthonormal basis of its generators' span. The part of a residual outside a
+subspace that holds the generators does not depend on the weights, so the
+minimizer is the full-space one, and each solve has r + 1 rows instead of
+one per entry. Accepting a decomposition stays the max-abs residual against
+eq_tol in the original space: eq_tol bounds entries of P, and an orthonormal
+change of coordinates keeps Euclidean lengths but not the largest entry.
 """
 
 from __future__ import annotations
@@ -14,7 +24,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
 
-from .matrices import DEFAULT_TOL, DimensionMismatch, Tolerance, max_abs, numeric_rank
+from .matrices import (
+    DEFAULT_TOL,
+    DimensionMismatch,
+    Tolerance,
+    first_distinct_rows,
+    max_abs,
+    numeric_rank,
+    span_svd,
+)
 
 __all__ = [
     "UniqueDecomposition",
@@ -61,6 +79,39 @@ def nonneg_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _weights(coords, target_coords, points, cols, target, tol: Tolerance, unit_sum):
+    """Nonnegative weights of target over the columns points[:, cols], or None.
+
+    coords and target_coords are the generators and the target in orthonormal
+    coordinates of a subspace holding the generators; unit_sum adds the
+    convex row. Acceptance is the original-space max-abs residual, built from
+    the columns with nonzero weight only.
+    """
+    if unit_sum:
+        coords = np.vstack([coords, np.ones((1, coords.shape[1]))])
+        target_coords = np.append(target_coords, 1.0)
+    w = nonneg_lstsq(coords, target_coords)
+    nz = np.flatnonzero(w)
+    if max_abs(points[:, cols[nz]] @ w[nz] - target) > tol.eq_tol:
+        return None
+    if unit_sum and abs(w.sum() - 1.0) > tol.eq_tol:
+        return None
+    return w
+
+
+def _decompositions(targets, generators, tol: Tolerance, unit_sum: bool):
+    """Yields _weights of each column of targets over the generator columns.
+
+    Both are taken to coordinates in one orthonormal basis of the generators'
+    span, so a loop over many targets pays for one QR.
+    """
+    basis, g_coords = np.linalg.qr(generators)
+    t_coords = basis.T @ targets
+    cols = np.arange(generators.shape[1])
+    for t, target in zip(t_coords.T, targets.T):
+        yield _weights(g_coords, t, generators, cols, target, tol, unit_sum)
+
+
 def convex_decompose(
     target, generators, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray | None:
@@ -76,13 +127,7 @@ def convex_decompose(
         raise DimensionMismatch(
             f"target has dimension {v.shape[0]} but generators have {g.shape[0]}"
         )
-    m = g.shape[1]
-    a = np.vstack([g, np.ones((1, m))])
-    b = np.concatenate([v, [1.0]])
-    w = nonneg_lstsq(a, b)
-    if max_abs(g @ w - v) > tol.eq_tol or abs(w.sum() - 1.0) > tol.eq_tol:
-        return None
-    return w
+    return next(_decompositions(v[:, None], g, tol, unit_sum=True))
 
 
 def has_unique_decompositions(generators, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -159,6 +204,34 @@ def shift_to_boundary(weights: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.clip(weights + step * d, 0.0, None)
 
 
+def _sweep(points, kept: list[int], scan_order, tol: Tolerance, unit_sum) -> list[int]:
+    """Drops from kept each column of points that the other survivors generate.
+
+    The solves run in the column coordinates of the thin SVD of the kept
+    columns; unit_sum asks for convex rather than nonnegative combinations.
+    """
+    _, s, vt = span_svd(points[:, kept])
+    coords = np.zeros((s.size, points.shape[1]))
+    coords[:, kept] = s[:, None] * vt
+    alive = np.zeros(points.shape[1], dtype=bool)
+    alive[kept] = True
+    if scan_order is None:
+        order = kept
+    else:
+        kept_set = set(kept)
+        order = [i for i in scan_order if i in kept_set]
+    for j in order:
+        if not alive[j]:
+            continue
+        alive[j] = False
+        others = np.flatnonzero(alive)
+        if not others.size or _weights(
+            coords[:, others], coords[:, j], points, others, points[:, j], tol, unit_sum
+        ) is None:
+            alive[j] = True
+    return np.flatnonzero(alive).tolist()
+
+
 def minimal_generating_columns(
     points, tol: Tolerance = DEFAULT_TOL, scan_order=None
 ) -> list[int]:
@@ -171,20 +244,7 @@ def minimal_generating_columns(
     columns; the resulting index set does not depend on it.
     """
     p = _columns(points)
-    m = p.shape[1]
-    kept = []
-    for j in range(m):
-        if all(max_abs(p[:, j] - p[:, i]) > tol.eq_tol for i in kept):
-            kept.append(j)
-    order = list(kept) if scan_order is None else [i for i in scan_order if i in kept]
-    keep = set(kept)
-    for j in order:
-        others = [i for i in kept if i in keep and i != j]
-        if not others:
-            continue
-        if convex_decompose(p[:, j], p[:, others], tol) is not None:
-            keep.discard(j)
-    return sorted(keep)
+    return _sweep(p, first_distinct_rows(p.T, tol), scan_order, tol, unit_sum=True)
 
 
 def is_extreme_point(index: int, points, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -24,6 +24,8 @@ __all__ = [
     "basis_vector",
     "max_abs",
     "max_abs_diff",
+    "first_distinct_rows",
+    "span_svd",
     "multiply",
     "numeric_rank",
     "null_space_vector",
@@ -77,6 +79,64 @@ def max_abs(a) -> float:
 
 def max_abs_diff(a, b) -> float:
     return max_abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+
+
+def first_distinct_rows(
+    a, tol: Tolerance = DEFAULT_TOL, scaled: bool = False
+) -> list[int]:
+    """Indices of the rows of a kept by a greedy first-occurrence pass.
+
+    Row j is kept unless it lies within eq_tol (max-abs) of a row kept before
+    it; with scaled, unless a kept row times a positive scale does (the rule
+    of cones.rays_equal_up_to_scaling, which rows must then be nonzero for).
+    A match pins one coordinate of the two rows (of their unit-norm
+    directions when scaled) to within a known width, so after one sort each
+    row is compared, in a single array operation, only with the kept rows
+    inside that window. Memory stays linear in the size of a.
+    """
+    a = np.asarray(a, dtype=float)
+    n, d = a.shape
+    if n == 0 or d == 0:
+        return list(range(min(n, 1)))
+    # a match moves any one coordinate by at most eq_tol, or any one of the
+    # unit directions by |u_x - u_y| <= 2 |s x - y| / |y| <= 2 sqrt(d) eq_tol / |y|;
+    # the windows are twice as wide, for rounding
+    if scaled:
+        norms = np.linalg.norm(a, axis=1)
+        keys = a / norms[:, None]
+        width = 4.0 * np.sqrt(d) * tol.eq_tol / norms + 1e-12
+    else:
+        keys = a
+        width = 2.0 * tol.eq_tol
+    key = keys[:, int(np.argmax(np.ptp(keys, axis=0)))]
+    order = np.argsort(key, kind="stable")
+    lo = np.searchsorted(key[order], key - width, side="left")
+    hi = np.searchsorted(key[order], key + width, side="right")
+    kept = np.zeros(n, dtype=bool)
+    for j in range(n):
+        near = order[lo[j]:hi[j]]
+        near = near[kept[near]]
+        if near.size:
+            x, positive = a[near], True
+            if scaled:
+                scale = (x @ a[j]) / np.einsum("ij,ij->i", x, x)
+                x, positive = scale[:, None] * x, scale > 0
+            if (positive & (np.abs(x - a[j]).max(axis=1) <= tol.eq_tol)).any():
+                continue
+        kept[j] = True
+    return np.flatnonzero(kept).tolist()
+
+
+def span_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) of a 2-D array, cut at roundoff rather than rank_tol.
+
+    Singular values up to max(m, n) * eps * s_max are dropped, so the column
+    coordinates s[:, None] * vt keep everything of a above roundoff.
+    """
+    arr = np.asarray(a, dtype=float)
+    u, s, vt = np.linalg.svd(arr, full_matrices=False)
+    r = int(np.sum(s > max(arr.shape) * np.finfo(float).eps * s.max(initial=0.0)))
+    return u[:, :r], s[:r], vt[:r]
 
 
 def _as_2d_float(values, what: str) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Delimited matrix files: comma-separated values, no header, LF line ends.
 
 Floats are written with 17 significant digits so a write/read round trip
-reproduces every double bit-for-bit. Parse failures report 1-based line and
-column positions.
+reproduces every double bit-for-bit. Parse failures, including a cell
+holding nan or inf, report 1-based line and column positions.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ class ShapeError(ValueError):
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a 2-D float matrix from a comma-separated file."""
+    """Read a 2-D float matrix from a comma-separated file; every cell must be finite."""
     rows: list[list[float]] = []
+    line_nos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n").rstrip("\r")
@@ -42,6 +43,7 @@ def read_matrix(path) -> np.ndarray:
                         f"cannot parse {cell.strip()!r} as a number", line_no, col_no
                     ) from None
             rows.append(row)
+            line_nos.append(line_no)
     if not rows:
         raise ShapeError(f"{path}: no rows found")
     width = len(rows[0])
@@ -50,7 +52,13 @@ def read_matrix(path) -> np.ndarray:
             raise ShapeError(
                 f"{path}: row {i} has {len(row)} cells, expected {width}"
             )
-    return np.array(rows, dtype=float)
+    arr = np.array(rows, dtype=float)
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise ParseError(
+            f"{float(arr[i, j])!r} is not a finite number", line_nos[i], j + 1
+        )
+    return arr
 
 
 def write_matrix(path, values) -> None:

@@ -19,10 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from .conditions import classify
-from .convex import convex_decompose, has_unique_decompositions, minimal_generating_columns
+from .convex import (
+    _decompositions,
+    has_unique_decompositions,
+    minimal_generating_columns,
+)
 from .cones import (
     NotACone,
-    conic_decompose,
     has_unique_conic_decompositions,
     minimal_conic_generating_rows,
 )
@@ -33,6 +36,7 @@ from .matrices import (
     FactorPair,
     FrequencyMatrix,
     Tolerance,
+    first_distinct_rows,
     max_abs,
 )
 
@@ -162,10 +166,8 @@ def recover_anchor_Q(
             f"{k_pops} extreme columns are affinely dependent; "
             "decompositions over them are not unique"
         )
-    n = p.shape[1]
-    q_vals = np.empty((k_pops, n))
-    for i in range(n):
-        w = convex_decompose(p[:, i], f_vals, tol)
+    q_vals = np.empty((k_pops, p.shape[1]))
+    for i, w in enumerate(_decompositions(p, f_vals, tol, unit_sum=True)):
         if w is None:
             raise DecompositionInfeasible(
                 f"column {i} is not a convex combination of the extreme columns"
@@ -189,14 +191,14 @@ def recover_anchor_F(
     the conic weights of P's rows over the rescaled Q.
     """
     p = pi.values
-    nonzero = [s for s in range(p.shape[0]) if max_abs(p[s]) > tol.eq_tol]
-    if not nonzero:
+    nonzero = np.flatnonzero(np.abs(p).max(axis=1) > tol.eq_tol)
+    if not nonzero.size:
         raise DecompositionInfeasible("input is numerically zero; no rays to recover")
     try:
         kept_local = minimal_conic_generating_rows(p[nonzero], tol)
     except NotACone as exc:  # nonnegative rows should always form a cone
         raise DecompositionInfeasible(str(exc)) from exc
-    kept = [nonzero[j] for j in kept_local]
+    kept = nonzero[kept_local]
     rays = p[kept]
     k_pops = len(kept)
     if not has_unique_conic_decompositions(rays, tol):
@@ -215,10 +217,8 @@ def recover_anchor_F(
             f"column-sum scaling has a nonpositive weight {eps.min():.3g}"
         )
     q_vals = eps[:, None] * rays
-    m = p.shape[0]
-    f_vals = np.empty((m, k_pops))
-    for s in range(m):
-        w = conic_decompose(p[s], q_vals, tol)
+    f_vals = np.empty((p.shape[0], k_pops))
+    for s, w in enumerate(_decompositions(p.T, q_vals.T, tol, unit_sum=False)):
         if w is None:
             raise DecompositionInfeasible(
                 f"row {s} is not a nonnegative combination of the recovered rows"
@@ -243,28 +243,25 @@ def recover_unadmixed(
     AmbiguousAssignment.
     """
     p = pi.values
-    n = p.shape[1]
-    reps: list[int] = []
-    for i in range(n):
-        if all(max_abs(p[:, i] - p[:, r]) > tol.eq_tol for r in reps):
-            reps.append(i)
+    reps = first_distinct_rows(p.T, tol)
     f_vals = p[:, reps]
     k_pops = len(reps)
-    q_vals = np.zeros((k_pops, n))
-    for i in range(n):
-        matches = [
-            k for k in range(k_pops) if max_abs(p[:, i] - f_vals[:, k]) <= tol.eq_tol
-        ]
-        if len(matches) > 1:
+    # match[k, i]: column i lies within eq_tol of representative k
+    match = np.array(
+        [np.abs(p - f_vals[:, [k]]).max(axis=0) <= tol.eq_tol for k in range(k_pops)]
+    )
+    counts = match.sum(axis=0)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        i = int(bad[0])
+        if counts[i] > 1:
             raise AmbiguousAssignment(
-                f"column {i} matches recovered columns {matches}; "
+                f"column {i} matches recovered columns "
+                f"{np.flatnonzero(match[:, i]).tolist()}; "
                 "input columns are not distinct at eq_tol"
             )
-        if not matches:
-            raise DecompositionInfeasible(
-                f"column {i} matches no recovered column"
-            )
-        q_vals[matches[0], i] = 1.0
+        raise DecompositionInfeasible(f"column {i} matches no recovered column")
+    q_vals = match.astype(float)
     warnings = _near_duplicate_warnings([f_vals[:, k] for k in range(k_pops)], "column", tol)
     return _finalize(
         pi, f_vals, q_vals, "unadmixed",

@@ -85,6 +85,8 @@ def simulate_genotypes(pi: ExpectedFreqMatrix, seed: int) -> GenotypeMatrix:
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    if seed >= 2**64:
+        raise ValueError("seed must be below 2**64, the width of the Philox key")
     p = pi.values
     m, n = p.shape
     out = np.empty((m, n), dtype=np.int64)

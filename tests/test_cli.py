@@ -70,6 +70,14 @@ def test_unparseable_csv_exits_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_non_finite_cell_exits_2(capsys, tmp_path):
+    bad = tmp_path / "pi.csv"
+    bad.write_text("0.5,0.25\n0.75,nan\n")
+    code, _, err = run(capsys, ["recover", "--pi", str(bad), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "line 2, column 2" in err
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     q = write_csv(tmp_path / "Q.csv", np.eye(2))
     code, _, err = run(capsys, ["check", "--f", str(tmp_path / "nope.csv"), "--q", q])
@@ -205,6 +213,24 @@ def test_simulate_writes_genotype_csv(capsys, tmp_path):
     )
     assert code == 0
     assert out.read_text() == "2,2\n2,2\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_simulate_seed_outside_key_range_exits_5(capsys, tmp_path, seed):
+    f = write_csv(tmp_path / "F.csv", [[0.5, 0.5], [0.5, 0.5]])
+    q = write_csv(tmp_path / "Q.csv", np.eye(2))
+    code, out, err = run(capsys, ["simulate", "--f", f, "--q", q, "--seed", str(seed)])
+    assert code == 5
+    assert out == ""
+    assert err.count("error:") == 1 and "seed" in err
+
+
+def test_simulate_largest_seed_is_accepted(capsys, tmp_path):
+    f = write_csv(tmp_path / "F.csv", [[1, 1], [0, 0]])
+    q = write_csv(tmp_path / "Q.csv", np.eye(2))
+    code, out, _ = run(capsys, ["simulate", "--f", f, "--q", q, "--seed", str(2**64 - 1)])
+    assert code == 0
+    assert out == "2,2\n0,0\n"
 
 
 def test_equiv_self_is_equivalent(capsys, tmp_path, anchor_pair_files):

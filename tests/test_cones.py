@@ -13,6 +13,7 @@ from admixid import (
     rays_equal_up_to_scaling,
     wedge_is_cone,
 )
+from admixid import cones
 from admixid.matrices import max_abs
 
 
@@ -119,6 +120,24 @@ def test_minimal_rows_scaled_duplicate_keeps_lower():
 def test_minimal_rows_rejects_line():
     with pytest.raises(NotACone):
         minimal_conic_generating_rows(rows([1, 0], [-1, 0]))
+
+
+def test_minimal_rows_skip_the_lp_when_row_sums_decide(monkeypatch):
+    calls = []
+
+    def counted(r, tol):
+        calls.append(len(r))
+        return wedge_is_cone(r, tol)
+
+    monkeypatch.setattr(cones, "wedge_is_cone", counted)
+    # every row sum above 2 d eq_tol: no nonnegative combination can vanish
+    assert minimal_conic_generating_rows(rows([1, 0.5], [0.2, 0.9], [1.2, 1.4])) == [0, 1]
+    assert minimal_conic_generating_rows(rows([1, -0.5], [0.2, 0.9])) == [0, 1]
+    assert calls == []
+    assert minimal_conic_generating_rows(rows([1, 0], [0.5, -1])) == [0, 1]
+    with pytest.raises(NotACone):
+        minimal_conic_generating_rows(rows([1, 1], [-1, -1], [0.5, 0.5]))
+    assert calls == [2, 3]
 
 
 def test_minimal_rows_rejects_zero_row():

@@ -1,0 +1,198 @@
+"""The duplicate scan and the span-coordinate sweeps against the pairwise originals.
+
+The oracles below are the pairwise loops and full-space solves the library
+used before its sweeps moved to span coordinates; every property asserts
+that the library returns the same indices.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from admixid import (
+    ExpectedFreqMatrix,
+    Tolerance,
+    generate_instance,
+    max_abs,
+    minimal_conic_generating_rows,
+    minimal_generating_columns,
+    rays_equal_up_to_scaling,
+    recover_anchor_Q,
+)
+from admixid.conditions import anchor_Q_columns
+from admixid.convex import nonneg_lstsq
+from admixid.matrices import first_distinct_rows, span_svd
+
+TOL = Tolerance()
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+# ---- oracles ---------------------------------------------------------------
+
+def oracle_distinct(vectors, tol, scaled=False):
+    kept = []
+    for j in range(vectors.shape[0]):
+        if scaled:
+            same = [rays_equal_up_to_scaling(vectors[i], vectors[j], tol) for i in kept]
+        else:
+            same = [max_abs(vectors[j] - vectors[i]) <= tol.eq_tol for i in kept]
+        if not any(same):
+            kept.append(j)
+    return kept
+
+
+def oracle_decomposes(target, generators, tol, unit_sum):
+    a, b = generators, target
+    if unit_sum:
+        a = np.vstack([a, np.ones((1, a.shape[1]))])
+        b = np.append(b, 1.0)
+    w = nonneg_lstsq(a, b)
+    if max_abs(generators @ w - target) > tol.eq_tol:
+        return False
+    return not (unit_sum and abs(w.sum() - 1.0) > tol.eq_tol)
+
+
+def oracle_sweep(points, kept, tol, unit_sum):
+    keep = set(kept)
+    for j in kept:
+        others = [i for i in kept if i in keep and i != j]
+        if others and oracle_decomposes(points[:, j], points[:, others], tol, unit_sum):
+            keep.discard(j)
+    return sorted(keep)
+
+
+def oracle_minimal_columns(p, tol):
+    return oracle_sweep(p, oracle_distinct(p.T, tol), tol, unit_sum=True)
+
+
+def oracle_minimal_rows(r, tol):
+    return oracle_sweep(r.T, oracle_distinct(r, tol, scaled=True), tol, unit_sum=False)
+
+
+# ---- inputs ----------------------------------------------------------------
+
+def planted_duplicates(rng, base, copies, gap, scaled, signs=(1.0,)):
+    """base rows, then copies of random earlier rows moved by exactly gap (max-abs).
+
+    scaled copies are multiples of their source, of a sign drawn from signs,
+    before the move.
+    """
+    rows = [row for row in base]
+    for _ in range(copies):
+        src = rows[rng.integers(len(rows))]
+        scale = rng.choice(signs) * rng.uniform(0.3, 3.0) if scaled else 1.0
+        move = rng.uniform(-gap, gap, size=src.shape)
+        move[rng.integers(src.size)] = gap * rng.choice([-1.0, 1.0])
+        rows.insert(int(rng.integers(len(rows) + 1)), scale * src + move)
+    return np.array(rows)
+
+
+def low_rank_product(rng, k, m, n, anchors):
+    """F Q with F uniform in [0.05, 0.95] and Q column-stochastic.
+
+    anchors plants identity columns in Q (anchorQ shape); otherwise F gets
+    diagonal anchor rows (anchorF shape).
+    """
+    f = rng.uniform(0.05, 0.95, size=(m, k))
+    q = rng.uniform(0.05, 1.0, size=(k, n))
+    q /= q.sum(axis=0)
+    if anchors:
+        q[:, rng.choice(n, size=k, replace=False)] = np.eye(k)
+    else:
+        f[rng.choice(m, size=k, replace=False)] = np.diag(rng.uniform(0.2, 1.0, size=k))
+    return f @ q
+
+
+seeds = st.integers(0, 2**32 - 1)
+gaps = st.sampled_from([0.5, 2.0])
+
+
+# ---- the duplicate primitive -------------------------------------------------
+
+@PROPERTY
+@given(seed=seeds, gap=gaps, n=st.integers(1, 12), d=st.integers(1, 8), copies=st.integers(0, 12))
+def test_first_distinct_rows_matches_pairwise_scan(seed, gap, n, d, copies):
+    rng = np.random.default_rng(seed)
+    a = planted_duplicates(rng, rng.uniform(size=(n, d)), copies, gap * TOL.eq_tol, False)
+    assert first_distinct_rows(a, TOL) == oracle_distinct(a, TOL)
+
+
+@PROPERTY
+@given(seed=seeds, gap=gaps, n=st.integers(1, 12), d=st.integers(1, 8), copies=st.integers(0, 12))
+def test_scaled_first_distinct_rows_matches_pairwise_scan(seed, gap, n, d, copies):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, size=(n, d))
+    a = planted_duplicates(rng, base, copies, gap * TOL.eq_tol, True, signs=(-1.0, 1.0))
+    a[np.abs(a).max(axis=1) <= TOL.eq_tol] = 1.0  # rays must be nonzero
+    assert first_distinct_rows(a, TOL, scaled=True) == oracle_distinct(a, TOL, scaled=True)
+
+
+def test_first_distinct_rows_keeps_chains_greedy():
+    # row 1 is within eq_tol of row 0 and row 2 of row 1, but row 2 is not
+    # within eq_tol of the kept row 0, so it is kept
+    a = np.array([[0.0], [0.8e-8], [1.6e-8]])
+    assert first_distinct_rows(a, TOL) == [0, 2] == oracle_distinct(a, TOL)
+
+
+def test_scaled_first_distinct_rows_rejects_negative_multiples():
+    # rows 0 and 1 share the sort key (their first entry), so only the
+    # sign of the scale keeps them apart
+    a = np.array([[0.0, 1.0], [0.0, -1.0], [5.0, 0.0], [-5.0, 0.0], [0.0, 2.0]])
+    assert first_distinct_rows(a, TOL, scaled=True) == [0, 1, 2, 3]
+    assert oracle_distinct(a, TOL, scaled=True) == [0, 1, 2, 3]
+
+
+# ---- the sweeps ----------------------------------------------------------------
+
+sizes = st.tuples(st.integers(1, 4), st.integers(2, 25), st.integers(2, 25))
+noise = st.sampled_from([0.0, 1e-7])
+
+
+@PROPERTY
+@given(seed=seeds, size=sizes, sigma=noise, gap=gaps, copies=st.integers(0, 4))
+def test_minimal_columns_match_full_space_oracle(seed, size, sigma, gap, copies):
+    k, m, n = size
+    rng = np.random.default_rng(seed)
+    p = low_rank_product(rng, k, m, max(n, k), anchors=True)
+    p = planted_duplicates(rng, p.T, copies, gap * TOL.eq_tol, False).T
+    p = p + sigma * rng.standard_normal(p.shape)
+    if sigma:
+        assert span_svd(p)[1].size == min(p.shape)
+    assert minimal_generating_columns(p, TOL) == oracle_minimal_columns(p, TOL)
+
+
+@PROPERTY
+@given(seed=seeds, size=sizes, sigma=noise, gap=gaps, copies=st.integers(0, 4))
+def test_minimal_rows_match_full_space_oracle(seed, size, sigma, gap, copies):
+    k, m, n = size
+    rng = np.random.default_rng(seed)
+    p = low_rank_product(rng, k, max(m, k), n, anchors=False)
+    p = planted_duplicates(rng, p, copies, gap * TOL.eq_tol, True)
+    p = np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, None)
+    if sigma:
+        assert span_svd(p)[1].size == min(p.shape)
+    assert minimal_conic_generating_rows(p, TOL) == oracle_minimal_rows(p, TOL)
+
+
+def test_span_svd_cuts_at_roundoff():
+    rng = np.random.default_rng(5)
+    p = rng.uniform(size=(30, 3)) @ rng.uniform(size=(3, 20))
+    u, s, vt = span_svd(p)
+    assert s.size == 3
+    assert max_abs(u @ (s[:, None] * vt) - p) < 1e-13
+
+
+# ---- round trip ------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_round_trip_returns_planted_anchor_columns(seed):
+    pair = generate_instance("anchorQ", 4, 200, 150, seed)
+    p = pair.F.values @ pair.Q.values
+    anchors = sorted(anchor_Q_columns(pair.Q, TOL))
+    assert minimal_generating_columns(p, TOL) == anchors
+    rec = recover_anchor_Q(ExpectedFreqMatrix(p), TOL)
+    assert np.array_equal(rec.F.values, ExpectedFreqMatrix(p).values[:, anchors])
+    # the recovered populations come back in the order of their anchors
+    perm = [int(np.argmax(pair.Q.values[:, i])) for i in anchors]
+    assert max_abs(rec.Q.values - pair.Q.values[perm]) <= 10 * TOL.eq_tol

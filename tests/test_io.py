@@ -86,3 +86,23 @@ def test_written_files_use_lf_only(tmp_path):
 def test_write_rejects_non_2d(tmp_path):
     with pytest.raises(ShapeError):
         write_matrix(tmp_path / "m.csv", np.arange(3.0))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN", "Infinity"])
+def test_non_finite_cell_is_a_parse_error(tmp_path, cell):
+    p = tmp_path / "m.csv"
+    # the blank lines still count towards the reported line number
+    p.write_text(f"\n0.5,0.25\n\n0.75,{cell}\n")
+    with pytest.raises(ParseError) as exc:
+        read_matrix(p)
+    assert exc.value.line == 4
+    assert exc.value.column == 2
+    assert "not a finite number" in str(exc.value)
+
+
+def test_first_non_finite_cell_is_reported(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("0.5,0.5,0.5\n0.5,0.5,inf\nnan,0.5,0.5\n")
+    with pytest.raises(ParseError) as exc:
+        read_matrix(p)
+    assert (exc.value.line, exc.value.column) == (2, 3)
