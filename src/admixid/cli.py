@@ -231,11 +231,18 @@ def _cmd_counterexample(args, tol: Tolerance) -> int:
     return EXIT_OK
 
 
+def _genotype_text(g: np.ndarray) -> str:
+    """CSV text of one-digit genotypes in one byte buffer, no final newline."""
+    text = np.full((g.shape[0], 2 * g.shape[1]), ord(","), dtype=np.uint8)
+    text[:, 0::2] = g + ord("0")
+    text[:, -1] = ord("\n")
+    return text.tobytes()[:-1].decode("ascii")
+
+
 def _cmd_simulate(args, tol: Tolerance) -> int:
     pair = _load_pair(args.f, args.q, tol)
     genotypes = simulate_genotypes(pair.product(tol), args.seed)
-    lines = "\n".join(",".join(str(int(x)) for x in row) for row in genotypes.values)
-    _emit(lines, args.output)
+    _emit(_genotype_text(genotypes.values), args.output)
     return EXIT_OK
 
 

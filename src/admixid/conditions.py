@@ -44,25 +44,30 @@ __all__ = [
     "check_unadmixed",
     "anchor_Q_columns",
     "anchor_F_rows",
+    "basis_distances",
     "classify",
 ]
 
 
+def basis_distances(q: np.ndarray) -> np.ndarray:
+    """d[k, i] = max |q[:, i] - e_k|, the distance of each column to each e_k.
+
+    Off row k that is the column's largest |entry|, or its second largest
+    where row k holds the largest; a zero row under the rest serves K = 1.
+    """
+    a = np.abs(q)
+    s = np.sort(np.vstack([np.zeros_like(a[:1]), a]), axis=0)
+    return np.maximum(np.abs(q - 1.0), np.where(a == s[-1], s[-2], s[-1]))
+
+
+def _first_true(hit: np.ndarray) -> list[int | None]:
+    """Per row of a boolean array, the index of its first True, else None."""
+    return [int(j) if found else None for j, found in zip(hit.argmax(axis=1), hit.any(axis=1))]
+
+
 def anchor_Q_columns(Q: AdmixtureMatrix, tol: Tolerance = DEFAULT_TOL) -> list[int | None]:
     """Per population, the first column equal to its basis vector, else None."""
-    q = Q.values
-    k_pops, n = q.shape
-    out: list[int | None] = []
-    for k in range(k_pops):
-        e = np.zeros(k_pops)
-        e[k] = 1.0
-        hit = None
-        for i in range(n):
-            if max_abs(q[:, i] - e) <= tol.eq_tol:
-                hit = i
-                break
-        out.append(hit)
-    return out
+    return _first_true(basis_distances(Q.values) <= tol.eq_tol)
 
 
 def check_anchor_Q(Q: AdmixtureMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -72,18 +77,8 @@ def check_anchor_Q(Q: AdmixtureMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def anchor_F_rows(F: FrequencyMatrix, tol: Tolerance = DEFAULT_TOL) -> list[int | None]:
     """Per population, the first row positive there and zero elsewhere, else None."""
-    f = F.values
-    m, k_pops = f.shape
-    out: list[int | None] = []
-    for k in range(k_pops):
-        hit = None
-        for s in range(m):
-            row = f[s]
-            if row[k] > tol.eq_tol and np.all(np.delete(row, k) <= tol.eq_tol):
-                hit = s
-                break
-        out.append(hit)
-    return out
+    above = F.values > tol.eq_tol
+    return _first_true((above & (above.sum(axis=1) == 1)[:, None]).T)
 
 
 def check_anchor_F(F: FrequencyMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -115,17 +110,10 @@ def check_distinct_columns(F: FrequencyMatrix, tol: Tolerance = DEFAULT_TOL) -> 
 def check_unadmixed(Q: AdmixtureMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff every column of Q is a basis vector and every basis vector occurs."""
     q = Q.values
-    k_pops, n = q.shape
-    seen = set()
-    for i in range(n):
-        col = q[:, i]
-        k = int(np.argmax(col))
-        e = np.zeros(k_pops)
-        e[k] = 1.0
-        if max_abs(col - e) > tol.eq_tol:
-            return False
-        seen.add(k)
-    return len(seen) == k_pops
+    k = q.argmax(axis=0)
+    if np.any(basis_distances(q)[k, np.arange(q.shape[1])] > tol.eq_tol):
+        return False
+    return np.unique(k).size == q.shape[0]
 
 
 @dataclass(frozen=True)

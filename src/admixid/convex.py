@@ -66,16 +66,23 @@ def _columns(generators) -> np.ndarray:
 def nonneg_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Nonnegative least squares solution of a @ x ~ b.
 
-    scipy.optimize.nnls (the fast path) can stop on a wrong active set for
-    some well-conditioned inputs; any answer that leaves a visible residual
-    is redone with the exact BVLS solver and the better of the two is kept.
+    scipy.optimize.nnls (the fast path) can stop on a wrong active set, so
+    its x is certified by the KKT conditions: with g = a.T @ (a @ x - b),
+    |g_i| <= gtol where x_i > 0 and g_i >= -gtol where x_i = 0, for gtol =
+    1e-12 max|a| (max|a| sum(x) + max|b|). An x that fails them is redone by
+    the exact BVLS solver and the better of the two kept. With no columns the
+    weights are empty (nnls would abort the interpreter).
     """
+    if a.shape[1] == 0:
+        return np.zeros(0)
     x, _ = nnls(a, b)
-    resid = max_abs(a @ x - b)
-    if resid > 1e-12 and a.shape[1] > 0:
-        redo = lsq_linear(a, b, bounds=(0.0, np.inf), method="bvls")
-        if max_abs(a @ redo.x - b) < resid:
-            x = np.maximum(redo.x, 0.0)
+    g = a.T @ (a @ x - b)
+    gtol = 1e-12 * max_abs(a) * (max_abs(a) * x.sum() + max_abs(b))
+    if np.all(np.where(x > 0, np.abs(g), -g) <= gtol):
+        return x
+    redo = lsq_linear(a, b, bounds=(0.0, np.inf), method="bvls")
+    if max_abs(a @ redo.x - b) < max_abs(a @ x - b):
+        x = np.maximum(redo.x, 0.0)
     return x
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .conditions import (
     anchor_F_rows,
     anchor_Q_columns,
+    basis_distances,
     check_anchor_F,
     check_anchor_Q,
     check_distinct_columns,
@@ -480,18 +481,14 @@ def unadmixed_missing_anchor(
         raise PreconditionViolated("F columns must be pairwise distinct")
     q = Q.values
     k_pops = Q.n_pops
-    used = set()
-    for i in range(Q.n_individuals):
-        col = q[:, i]
-        k = int(np.argmax(col))
-        e = np.eye(k_pops)[:, k]
-        if max_abs(col - e) > tol.eq_tol:
-            raise PreconditionViolated(f"Q column {i} is not a basis vector")
-        used.add(k)
-    missing = [k for k in range(k_pops) if k not in used]
-    if not missing:
+    nearest = q.argmax(axis=0)
+    off = np.flatnonzero(basis_distances(q)[nearest, np.arange(q.shape[1])] > tol.eq_tol)
+    if off.size:
+        raise PreconditionViolated(f"Q column {off[0]} is not a basis vector")
+    missing = np.setdiff1d(np.arange(k_pops), nearest)
+    if not missing.size:
         raise PreconditionViolated("every population has an individual; nothing to swap")
-    k = missing[0]
+    k = int(missing[0])
     f = F.values
     candidate = 1.0 - f[:, k]
     while any(max_abs(candidate - f[:, j]) <= tol.eq_tol for j in range(k_pops)):

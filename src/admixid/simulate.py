@@ -3,8 +3,8 @@
 Genotypes are sums of two Bernoulli draws per cell, so G_si counts derived
 alleles in {0, 1, 2} with success probability P_si. The draw stream is
 pinned exactly: row s of the genotype matrix uses a Philox counter generator
-keyed with (seed XOR s), from which 2N uniform doubles are taken in order;
-entry i consumes draws 2i and 2i+1, and the genotype is
+keyed with the two 64-bit words (seed, s), from which 2N uniform doubles are
+taken in order; entry i consumes draws 2i and 2i+1, and the genotype is
 [draw < P] + [draw < P]. Identical seed and input give bit-identical output,
 and rows can be filled independently (the per-row key is self-contained).
 """
@@ -80,18 +80,18 @@ def simulate_genotypes(pi: ExpectedFreqMatrix, seed: int) -> GenotypeMatrix:
     """Draw a genotype matrix from the two-Bernoulli model at each cell.
 
     The stream layout documented in the module docstring is part of the
-    contract: per-row Philox keyed with seed XOR row index, 2N doubles per
-    row, consecutive pairs per entry.
+    contract: per-row Philox keyed with the two words (seed, row index), 2N
+    doubles per row, consecutive pairs per entry. Seeds span [0, 2**64).
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if seed >= 2**64:
-        raise ValueError("seed must be below 2**64, the width of the Philox key")
+        raise ValueError("seed must be below 2**64, the width of a Philox key word")
     p = pi.values
     m, n = p.shape
     out = np.empty((m, n), dtype=np.int64)
     for s in range(m):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(s)))
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, s], dtype=np.uint64)))
         draws = rng.random(2 * n).reshape(n, 2)
         out[s] = (draws[:, 0] < p[s]).astype(np.int64) + (draws[:, 1] < p[s])
     return GenotypeMatrix(out)

@@ -33,6 +33,12 @@ def test_conic_decompose_zero_target():
     assert max_abs(w) <= 1e-10
 
 
+def test_conic_decompose_empty_generator_set():
+    assert conic_decompose(np.ones(3), np.zeros((0, 3))) is None
+    w = conic_decompose(np.zeros(3), np.zeros((0, 3)))
+    assert w is not None and w.shape == (0,)
+
+
 def test_conic_decompose_infeasible():
     assert conic_decompose([-1.0, 0.0], np.eye(2)) is None
 

@@ -13,7 +13,8 @@ from admixid import (
     is_extreme_point,
     minimal_generating_columns,
 )
-from admixid.convex import null_shift_direction, shift_to_boundary
+from admixid import convex
+from admixid.convex import nonneg_lstsq, null_shift_direction, shift_to_boundary
 from admixid.matrices import max_abs
 
 
@@ -46,6 +47,28 @@ def test_decompose_requires_unit_sum():
 def test_decompose_single_generator():
     assert convex_decompose([0.4], [[0.4]]) is not None
     assert convex_decompose([0.5], [[0.4]]) is None
+
+
+def test_decompose_empty_generator_set():
+    # scipy's nnls aborts the interpreter on a matrix with no columns
+    assert convex_decompose(np.ones(3), np.zeros((3, 0))) is None
+    assert convex_decompose(np.zeros(3), np.zeros((3, 0))) is None
+    assert nonneg_lstsq(np.zeros((3, 0)), np.ones(3)).shape == (0,)
+
+
+def test_nonneg_lstsq_redoes_an_answer_failing_kkt(monkeypatch):
+    monkeypatch.setattr(convex, "nnls", lambda a, b: (np.zeros(a.shape[1]), 1.0))
+    x = nonneg_lstsq(np.eye(2), np.array([0.3, 0.7]))
+    assert max_abs(x - [0.3, 0.7]) < 1e-12
+
+
+def test_nonneg_lstsq_keeps_a_certified_answer_with_a_residual(monkeypatch):
+    def no_bvls(*args, **kwargs):
+        raise AssertionError("a KKT point needs no BVLS redo")
+
+    monkeypatch.setattr(convex, "lsq_linear", no_bvls)
+    x = nonneg_lstsq(np.eye(2), np.array([-1.0, 0.5]))
+    assert max_abs(x - [0.0, 0.5]) < 1e-12
 
 
 def test_decompose_dimension_mismatch():

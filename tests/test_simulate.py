@@ -27,14 +27,23 @@ def test_unit_probabilities_give_two_copies():
 
 
 def test_frozen_draw_seed_seven():
-    # pinned stream: per-row generator keyed seed ^ row, two uniforms per
-    # cell in row-major cell order, one count per threshold comparison
+    # pinned stream: per-row generator keyed with the words (seed, row), two
+    # uniforms per cell in row-major cell order, one count per threshold
+    # comparison
     pi = ExpectedFreqMatrix(
         [[0.0, 0.25, 0.5, 1.0], [0.1, 0.9, 0.5, 0.3], [0.75, 0.05, 0.6, 0.2]]
     )
     g = simulate_genotypes(pi, seed=7)
-    expected = [[0, 0, 1, 2], [0, 2, 2, 1], [2, 0, 1, 0]]
+    expected = [[0, 0, 1, 2], [0, 2, 0, 0], [2, 0, 2, 2]]
     assert np.array_equal(g.values, expected)
+
+
+def test_consecutive_seeds_share_no_row():
+    # a key of seed XOR row gave seed 0 row 1 the stream of seed 1 row 0
+    pi = ExpectedFreqMatrix(np.full((8, 64), 0.5))
+    a = simulate_genotypes(pi, seed=0).values
+    b = simulate_genotypes(pi, seed=1).values
+    assert not (a[:, None, :] == b[None, :, :]).all(axis=2).any()
 
 
 def test_simulation_is_deterministic():
