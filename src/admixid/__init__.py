@@ -63,13 +63,10 @@ from .matrices import (
     FactorPair,
     FrequencyMatrix,
     Tolerance,
-    basis_vector,
     max_abs,
-    max_abs_diff,
     multiply,
     null_space_vector,
     numeric_rank,
-    ones_vector,
 )
 from .matrixio import ParseError, ShapeError, read_matrix, write_matrix
 from .recovery import (

@@ -82,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="entrywise equality tolerance (default 1e-8)")
     parser.add_argument("--rank-tol", type=float, default=1e-9, metavar="X",
                         help="relative rank tolerance (default 1e-9)")
-    parser.add_argument("--format", choices=["json", "csv"], default="json",
-                        help="report format; reports are JSON, matrices CSV (default json)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="classify an (F, Q) pair against all conditions")
@@ -141,6 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", metavar="PATH", help="report destination (default stdout)")
 
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -275,7 +276,7 @@ def _cmd_gen(args, tol: Tolerance) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         tol = Tolerance(eq_tol=args.tol, rank_tol=args.rank_tol)
     except ValueError as exc:

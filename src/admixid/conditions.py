@@ -19,7 +19,7 @@ together with the dimension bounds each regime needs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .matrices import (
     DimensionMismatch,
     FrequencyMatrix,
     Tolerance,
-    max_abs,
+    max_abs_distances,
 )
 
 __all__ = [
@@ -98,13 +98,8 @@ def check_indep_Q(Q: AdmixtureMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def check_distinct_columns(F: FrequencyMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff no two columns of F coincide within eq_tol."""
-    f = F.values
-    k_pops = f.shape[1]
-    for a in range(k_pops):
-        for b in range(a + 1, k_pops):
-            if max_abs(f[:, a] - f[:, b]) <= tol.eq_tol:
-                return False
-    return True
+    f = F.values.T
+    return not np.triu(max_abs_distances(f, f) <= tol.eq_tol, 1).any()
 
 
 def check_unadmixed(Q: AdmixtureMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -141,22 +136,7 @@ class ConditionReport:
     member_unadmixed_model: bool
 
     def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "M": self.M,
-            "N": self.N,
-            "anchor_F": self.anchor_F,
-            "anchor_F_rows": list(self.anchor_F_rows),
-            "anchor_Q": self.anchor_Q,
-            "anchor_Q_cols": list(self.anchor_Q_cols),
-            "indep_F": self.indep_F,
-            "indep_Q": self.indep_Q,
-            "distinct_cols_F": self.distinct_cols_F,
-            "unadmixed_Q": self.unadmixed_Q,
-            "member_anchor_q_model": self.member_anchor_q_model,
-            "member_anchor_f_model": self.member_anchor_f_model,
-            "member_unadmixed_model": self.member_unadmixed_model,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -35,6 +35,7 @@ from .matrices import (
     FrequencyMatrix,
     Tolerance,
     max_abs,
+    max_abs_distances,
     null_space_vector,
 )
 
@@ -440,18 +441,11 @@ def unadmixed_dup_column(
         raise PreconditionViolated(
             f"need a trailing individual, got N={n_individuals}, K={k_pops}"
         )
-    f = F.values
-    pair = None
-    for a in range(k_pops):
-        for b in range(a + 1, k_pops):
-            if max_abs(f[:, a] - f[:, b]) <= tol.eq_tol:
-                pair = (a, b)
-                break
-        if pair:
-            break
-    if pair is None:
+    f = F.values.T
+    pairs = np.argwhere(np.triu(max_abs_distances(f, f) <= tol.eq_tol, 1))
+    if not pairs.size:
         raise NoDuplicateColumns("F has no two columns equal within eq_tol")
-    k, l = pair
+    k, l = pairs[0]
 
     def assemble(target: int) -> AdmixtureMatrix:
         cols = [*np.eye(k_pops).T] + [np.eye(k_pops)[:, target]] * (
@@ -491,7 +485,7 @@ def unadmixed_missing_anchor(
     k = int(missing[0])
     f = F.values
     candidate = 1.0 - f[:, k]
-    while any(max_abs(candidate - f[:, j]) <= tol.eq_tol for j in range(k_pops)):
+    while (max_abs_distances(candidate[None], f.T) <= tol.eq_tol).any():
         candidate = np.mod(candidate + 0.1, 1.0)
     f2 = f.copy()
     f2[:, k] = candidate

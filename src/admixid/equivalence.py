@@ -7,19 +7,15 @@ carries the permutation as a certificate, or a reason when none exists.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .matrices import DEFAULT_TOL, FactorPair, Tolerance, max_abs
+from .matrices import DEFAULT_TOL, FactorPair, Tolerance, max_abs_distances
 
 __all__ = ["EquivalenceResult", "are_equivalent"]
-
-# exhaustive permutation search stays affordable up to this population count
-_EXHAUSTIVE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -39,11 +35,7 @@ class EquivalenceResult:
         return self.equivalent
 
     def to_dict(self) -> dict:
-        return {
-            "equivalent": self.equivalent,
-            "permutation": None if self.permutation is None else list(self.permutation),
-            "reason": self.reason,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -51,34 +43,10 @@ class EquivalenceResult:
 
 def _match_distances(pair1: FactorPair, pair2: FactorPair) -> np.ndarray:
     """d[k, j]: distance between pop k of pair2 and pop j of pair1."""
-    f1, q1 = pair1.F.values, pair1.Q.values
-    f2, q2 = pair2.F.values, pair2.Q.values
-    k_pops = pair1.n_pops
-    d = np.empty((k_pops, k_pops))
-    for k in range(k_pops):
-        for j in range(k_pops):
-            d[k, j] = max(
-                max_abs(f2[:, k] - f1[:, j]), max_abs(q2[k, :] - q1[j, :])
-            )
-    return d
+    def pops(pair: FactorPair) -> np.ndarray:
+        return np.hstack([pair.F.values.T, pair.Q.values])
 
-
-def _greedy(d: np.ndarray, eq_tol: float) -> list[int] | None:
-    k_pops = d.shape[0]
-    used = set()
-    perm = []
-    for k in range(k_pops):
-        best = None
-        for j in range(k_pops):
-            if j in used or d[k, j] > eq_tol:
-                continue
-            if best is None or d[k, j] < d[k, best]:
-                best = j
-        if best is None:
-            return None
-        used.add(best)
-        perm.append(best)
-    return perm
+    return max_abs_distances(pops(pair2), pops(pair1))
 
 
 def are_equivalent(
@@ -86,10 +54,11 @@ def are_equivalent(
 ) -> EquivalenceResult:
     """Test whether two factor pairs agree up to one population permutation.
 
-    Each candidate permutation must match F columns and Q rows at once,
-    entrywise within eq_tol. Matching tries a greedy pass first; if that
-    fails, all permutations are tried for small K, and an optimal assignment
-    on the distance matrix for larger K. Dimension disagreements are a valid
+    A permutation must match F columns and Q rows at once, entrywise within
+    eq_tol. One assignment on the distance matrix, with every pair beyond
+    eq_tol costing more than K pairs within it, finds such a permutation
+    whenever one exists, for every K; among several it returns the one of
+    least total distance. Dimension disagreements are a valid
     not-equivalent outcome, not an error.
     """
     if pair1.n_pops != pair2.n_pops:
@@ -106,31 +75,20 @@ def are_equivalent(
             ),
         )
     d = _match_distances(pair1, pair2)
-    perm = _greedy(d, tol.eq_tol)
-    if perm is None:
-        k_pops = d.shape[0]
-        if k_pops <= _EXHAUSTIVE_LIMIT:
-            for cand in itertools.permutations(range(k_pops)):
-                if all(d[k, cand[k]] <= tol.eq_tol for k in range(k_pops)):
-                    perm = list(cand)
-                    break
-        else:
-            _, cols = linear_sum_assignment(d)
-            cand = [int(j) for j in cols]
-            if all(d[k, cand[k]] <= tol.eq_tol for k in range(k_pops)):
-                perm = cand
-    if perm is None:
-        mins = d.min(axis=1)
-        k_bad = int(np.argmax(mins))
-        if mins[k_bad] > tol.eq_tol:
-            reason = (
-                f"population {k_bad} of the second pair differs from every "
-                f"population of the first by at least {mins[k_bad]:g}"
-            )
-        else:
-            reason = (
-                f"every population has a counterpart within {tol.eq_tol:g} "
-                "but no consistent assignment exists"
-            )
-        return EquivalenceResult(False, reason=reason)
-    return EquivalenceResult(True, permutation=perm)
+    k_pops = d.shape[0]
+    _, perm = linear_sum_assignment(np.where(d <= tol.eq_tol, d, k_pops * tol.eq_tol + 1))
+    if (d[np.arange(k_pops), perm] <= tol.eq_tol).all():
+        return EquivalenceResult(True, permutation=perm.tolist())
+    mins = d.min(axis=1)
+    k_bad = int(np.argmax(mins))
+    if mins[k_bad] > tol.eq_tol:
+        reason = (
+            f"population {k_bad} of the second pair differs from every "
+            f"population of the first by at least {mins[k_bad]:g}"
+        )
+    else:
+        reason = (
+            f"every population has a counterpart within {tol.eq_tol:g} "
+            "but no consistent assignment exists"
+        )
+    return EquivalenceResult(False, reason=reason)

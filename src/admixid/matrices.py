@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "DimensionMismatch",
@@ -20,10 +21,8 @@ __all__ = [
     "AdmixtureMatrix",
     "ExpectedFreqMatrix",
     "FactorPair",
-    "ones_vector",
-    "basis_vector",
     "max_abs",
-    "max_abs_diff",
+    "max_abs_distances",
     "first_distinct_rows",
     "span_svd",
     "multiply",
@@ -56,19 +55,6 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def ones_vector(n: int) -> np.ndarray:
-    return np.ones(n)
-
-
-def basis_vector(i: int, n: int) -> np.ndarray:
-    """Standard basis vector e_i (0-based) of length n."""
-    if not 0 <= i < n:
-        raise IndexError(f"basis index {i} out of range for length {n}")
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
-
-
 def max_abs(a) -> float:
     """Entrywise infinity norm, max |a_ij|; 0.0 for empty input."""
     a = np.asarray(a, dtype=float)
@@ -77,8 +63,12 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def max_abs_diff(a, b) -> float:
-    return max_abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+def max_abs_distances(a, b) -> np.ndarray:
+    """d[i, j] = max |a[i] - b[j]| over the rows of two 2-D arrays.
+
+    Memory is one float per pair of rows, never one per pair of entries.
+    """
+    return cdist(np.asarray(a, dtype=float), np.asarray(b, dtype=float), "chebyshev")
 
 
 def first_distinct_rows(

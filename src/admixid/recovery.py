@@ -38,6 +38,7 @@ from .matrices import (
     Tolerance,
     first_distinct_rows,
     max_abs,
+    max_abs_distances,
 )
 
 __all__ = [
@@ -106,19 +107,16 @@ class RecoveredFactorization:
         }
 
 
-def _near_duplicate_warnings(vectors: list[np.ndarray], kind: str, tol: Tolerance) -> list[str]:
-    # pairs separated by more than eq_tol but less than 10x eq_tol are kept
+def _near_duplicate_warnings(vectors: np.ndarray, kind: str, tol: Tolerance) -> list[str]:
+    # rows separated by more than eq_tol but less than 10x eq_tol are kept
     # distinct, yet the margin is thin enough to flag
-    out = []
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            gap = max_abs(vectors[a] - vectors[b])
-            if tol.eq_tol < gap <= 10 * tol.eq_tol:
-                out.append(
-                    f"recovered {kind} {a} and {b} are {gap:.3g} apart, "
-                    f"within 10x eq_tol of merging"
-                )
-    return out
+    gaps = max_abs_distances(vectors, vectors)
+    near = np.triu((gaps > tol.eq_tol) & (gaps <= 10 * tol.eq_tol), 1)
+    return [
+        f"recovered {kind} {a} and {b} are {gaps[a, b]:.3g} apart, "
+        f"within 10x eq_tol of merging"
+        for a, b in np.argwhere(near)
+    ]
 
 
 def _finalize(
@@ -173,7 +171,7 @@ def recover_anchor_Q(
                 f"column {i} is not a convex combination of the extreme columns"
             )
         q_vals[:, i] = w
-    warnings = _near_duplicate_warnings([f_vals[:, k] for k in range(k_pops)], "column", tol)
+    warnings = _near_duplicate_warnings(f_vals.T, "column", tol)
     return _finalize(
         pi, f_vals, q_vals, "anchorQ",
         {"anchor_Q": True, "indep_F": True, "member_anchor_q_model": True},
@@ -224,7 +222,7 @@ def recover_anchor_F(
                 f"row {s} is not a nonnegative combination of the recovered rows"
             )
         f_vals[s] = w
-    warnings = _near_duplicate_warnings([rays[k] for k in range(k_pops)], "ray", tol)
+    warnings = _near_duplicate_warnings(rays, "ray", tol)
     return _finalize(
         pi, f_vals, q_vals, "anchorF",
         {"anchor_F": True, "indep_Q": True, "member_anchor_f_model": True},
@@ -245,11 +243,8 @@ def recover_unadmixed(
     p = pi.values
     reps = first_distinct_rows(p.T, tol)
     f_vals = p[:, reps]
-    k_pops = len(reps)
     # match[k, i]: column i lies within eq_tol of representative k
-    match = np.array(
-        [np.abs(p - f_vals[:, [k]]).max(axis=0) <= tol.eq_tol for k in range(k_pops)]
-    )
+    match = max_abs_distances(f_vals.T, p.T) <= tol.eq_tol
     counts = match.sum(axis=0)
     bad = np.flatnonzero(counts != 1)
     if bad.size:
@@ -262,7 +257,7 @@ def recover_unadmixed(
             )
         raise DecompositionInfeasible(f"column {i} matches no recovered column")
     q_vals = match.astype(float)
-    warnings = _near_duplicate_warnings([f_vals[:, k] for k in range(k_pops)], "column", tol)
+    warnings = _near_duplicate_warnings(f_vals.T, "column", tol)
     return _finalize(
         pi, f_vals, q_vals, "unadmixed",
         {"distinct_cols_F": True, "unadmixed_Q": True, "member_unadmixed_model": True},

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from admixid import (
     AdmixtureMatrix,
@@ -108,11 +109,11 @@ def test_refutation_names_obstructed_population():
 
 
 def test_exhaustive_fallback_on_near_ties():
-    """Greedy mismatch is repaired by the exhaustive search for small K.
+    """A nearest-first match would strand a population; the assignment does not.
 
-    Columns 0.3e-8 and 0.6e-8 away lure greedy into taking the closer one,
-    stranding the second population 1.85e-8 from its only candidate; the
-    crossed assignment is valid.
+    Population 0 of the second pair is 0.3e-8 from population 0 of the first
+    and 0.6e-8 from population 1; taking the closer one leaves population 1
+    1.85e-8 from its only candidate. The crossed assignment is valid.
     """
     t = 1e-8
     f1 = np.array([[0.5, 0.5 + 0.9 * t]])
@@ -124,7 +125,7 @@ def test_exhaustive_fallback_on_near_ties():
 
 
 def test_assignment_fallback_above_exhaustive_limit():
-    # same near-tie trap embedded in K=9, past the exhaustive bound
+    # same near-tie trap embedded in K=9
     t = 1e-8
     k = 9
     anchors = np.linspace(0.05, 0.85, k - 2)
@@ -135,6 +136,28 @@ def test_assignment_fallback_above_exhaustive_limit():
     assert res.equivalent
     assert res.permutation[:2] == [1, 0]
     assert res.permutation[2:] == list(range(2, k))
+
+
+@pytest.mark.parametrize("k", [2, 8, 9, 12])
+def test_cheapest_sum_beyond_tolerance_still_finds_the_relabelling(k):
+    """The identity costs 1.6e-8 in total but breaks eq_tol in one population;
+    the only valid relabelling swaps populations 0 and 1 at 1.8e-8 in total.
+
+    In the max-abs norm over two loci: pair1 holds (0, 0) and (1, 0), pair2
+    holds (0.1, 0) and (-0.5, 0.9), in units of eq_tol around 0.5.
+    """
+    t = 1e-8
+    anchors = np.linspace(0.05, 0.3, k - 2)
+    f1 = np.full((2, k), 0.5)
+    f1[0, 1] += t
+    f2 = np.full((2, k), 0.5)
+    f2[0, 0] += 0.1 * t
+    f2[:, 1] += [-0.5 * t, 0.9 * t]
+    f1[:, 2:] = f2[:, 2:] = anchors
+    q = np.full((k, k), 1.0 / k)
+    res = are_equivalent(make_pair(f1, q), make_pair(f2, q))
+    assert res.equivalent, res.reason
+    assert res.permutation == [1, 0, *range(2, k)]
 
 
 def test_products_of_equivalent_pairs_agree():
