@@ -61,15 +61,16 @@ _PRECONDITION_ERRORS = (
     GenerationFailed,
 )
 
+# each construction's two inputs, by flag name, in call order
 _CONSTRUCTIONS = {
-    "perturb_interior_Q_column": ("FQ", cx.perturb_interior_Q_column),
-    "rotate_R_Q": ("FQ", cx.rotate_R_Q),
-    "perturb_F_row": ("FQ", cx.perturb_F_row),
-    "rotate_R_F": ("FQ", cx.rotate_R_F),
-    "necessity_pq": ("FN", cx.necessity_pq),
-    "necessity_F_rows": ("QM", cx.necessity_F_rows),
-    "unadmixed_dup_column": ("FN", cx.unadmixed_dup_column),
-    "unadmixed_missing_anchor": ("FQ", cx.unadmixed_missing_anchor),
+    "perturb_interior_Q_column": (("f", "q"), cx.perturb_interior_Q_column),
+    "rotate_R_Q": (("f", "q"), cx.rotate_R_Q),
+    "perturb_F_row": (("f", "q"), cx.perturb_F_row),
+    "rotate_R_F": (("f", "q"), cx.rotate_R_F),
+    "necessity_pq": (("f", "n"), cx.necessity_pq),
+    "necessity_F_rows": (("q", "m"), cx.necessity_F_rows),
+    "unadmixed_dup_column": (("f", "n"), cx.unadmixed_dup_column),
+    "unadmixed_missing_anchor": (("f", "q"), cx.unadmixed_missing_anchor),
 }
 
 
@@ -157,6 +158,16 @@ def _load_pair(f_path: str, q_path: str, tol: Tolerance) -> FactorPair:
     return FactorPair(F, Q)
 
 
+def _write_pair(pair, out_dir: str, suffix: str = "") -> dict:
+    """Write pair.F and pair.Q as F{suffix}.csv and Q{suffix}.csv; their report keys."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {"F_path": str(out / f"F{suffix}.csv"), "Q_path": str(out / f"Q{suffix}.csv")}
+    write_matrix(paths["F_path"], pair.F.values)
+    write_matrix(paths["Q_path"], pair.Q.values)
+    return paths
+
+
 def _cmd_check(args, tol: Tolerance) -> int:
     pair = _load_pair(args.f, args.q, tol)
     report = classify(pair.F, pair.Q, tol)
@@ -186,19 +197,13 @@ def _cmd_recover(args, tol: Tolerance) -> int:
         for line in failures:
             print(f"error: {line}", file=sys.stderr)
         return EXIT_RECOVERY
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix(out_dir / "F.csv", result.F.values)
-    write_matrix(out_dir / "Q.csv", result.Q.values)
-    report = result.to_dict()
-    report["F_path"] = str(out_dir / "F.csv")
-    report["Q_path"] = str(out_dir / "Q.csv")
+    report = {**result.to_dict(), **_write_pair(result, args.out_dir)}
     _emit(json.dumps(report, indent=2), args.output)
     return EXIT_OK
 
 
 def _cmd_counterexample(args, tol: Tolerance) -> int:
-    signature, runner = _CONSTRUCTIONS[args.construction]
+    flags, runner = _CONSTRUCTIONS[args.construction]
     kwargs = {"tol": tol}
     if args.construction in ("rotate_R_Q", "rotate_R_F"):
         kwargs["delta"] = args.delta
@@ -206,28 +211,18 @@ def _cmd_counterexample(args, tol: Tolerance) -> int:
         print("error: --delta only applies to the rotation constructions",
               file=sys.stderr)
         return EXIT_PRECONDITION
-    if signature == "FQ":
-        if not (args.f and args.q):
-            print(f"error: {args.construction} needs --f and --q", file=sys.stderr)
-            return EXIT_PARSE
-        pairargs = _load_pair(args.f, args.q, tol)
-        result = runner(pairargs.F, pairargs.Q, **kwargs)
-    elif signature == "FN":
-        if not (args.f and args.n is not None):
-            print(f"error: {args.construction} needs --f and --n", file=sys.stderr)
-            return EXIT_PARSE
-        F = FrequencyMatrix(read_matrix(args.f), tol)
-        result = runner(F, args.n, **kwargs)
-    else:  # QM
-        if not (args.q and args.m is not None):
-            print(f"error: {args.construction} needs --q and --m", file=sys.stderr)
-            return EXIT_PARSE
-        Q = AdmixtureMatrix(read_matrix(args.q), tol)
-        result = runner(Q, args.m, **kwargs)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix(out_dir / "F2.csv", result.alternative.F.values)
-    write_matrix(out_dir / "Q2.csv", result.alternative.Q.values)
+    values = [getattr(args, flag) for flag in flags]
+    if any(value in (None, "") for value in values):
+        print(f"error: {args.construction} needs --{flags[0]} and --{flags[1]}",
+              file=sys.stderr)
+        return EXIT_PARSE
+    matrix = {"f": FrequencyMatrix, "q": AdmixtureMatrix}
+    inputs = [
+        matrix[flag](read_matrix(value), tol) if flag in matrix else value
+        for flag, value in zip(flags, values)
+    ]
+    result = runner(*inputs, **kwargs)
+    _write_pair(result.alternative, args.out_dir, "2")
     _emit(result.to_json(), args.output)
     return EXIT_OK
 
@@ -258,18 +253,13 @@ def _cmd_equiv(args, tol: Tolerance) -> int:
 
 def _cmd_gen(args, tol: Tolerance) -> int:
     pair = generate_instance(args.model_class, args.k, args.m, args.n, args.seed, tol)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix(out_dir / "F.csv", pair.F.values)
-    write_matrix(out_dir / "Q.csv", pair.Q.values)
     report = {
         "model_class": args.model_class,
         "K": args.k,
         "M": args.m,
         "N": args.n,
         "seed": args.seed,
-        "F_path": str(out_dir / "F.csv"),
-        "Q_path": str(out_dir / "Q.csv"),
+        **_write_pair(pair, args.out_dir),
     }
     _emit(json.dumps(report, indent=2), args.output)
     return EXIT_OK

@@ -128,10 +128,11 @@ def minimal_conic_generating_rows(
     """
     r = _rows(rays)
     d = r.shape[1]
-    # rows whose sums all exceed 2 d eq_tol leave the LP nothing to find: any
-    # w in [0, 1]^m with sum >= 0.5 gives w @ r entries summing to more than
-    # d eq_tol, so one entry exceeds eq_tol
-    surely_cone = r.size > 0 and r.sum(axis=1).min() > 2 * d * tol.eq_tol
+    # nonnegative rows never contain a line (zero rows are refused below),
+    # and rows whose sums all exceed 2 d eq_tol leave the LP nothing to find:
+    # any w in [0, 1]^m with sum >= 0.5 gives w @ r entries summing to more
+    # than d eq_tol, so one entry exceeds eq_tol
+    surely_cone = r.size > 0 and (r.min() >= 0 or r.sum(axis=1).min() > 2 * d * tol.eq_tol)
     if not surely_cone and not wedge_is_cone(r, tol):
         raise NotACone("rows generate a wedge containing a line")
     zero = np.flatnonzero(np.abs(r).max(axis=1, initial=0.0) <= tol.eq_tol)

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import (
-    anchor_F_rows,
-    anchor_Q_columns,
     basis_distances,
     check_anchor_F,
     check_anchor_Q,
@@ -121,19 +119,14 @@ def _certify(
     return CounterexamplePair(original, alternative, construction, parameters, gap)
 
 
-def _block_indices(k_pops: int, k0: int) -> tuple[int, int]:
+def _block_rotation(k_pops: int, k0: int, delta: float, swap: bool):
+    # the 2x2 block [[1, delta], [0, 1-delta]] on (a, b) = (partner, k0), or
+    # on (k0, partner) when swapped; its inverse is written out
     if not 0 <= k0 < k_pops:
         raise PreconditionViolated(f"k0={k0} out of range for {k_pops} populations")
-    return (0, k0) if k0 != 0 else (1, 0)
-
-
-def rotation_matrices_Q(k_pops: int, k0: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """K x K rotation R and its inverse for the admixture-side construction.
-
-    The 2x2 block [[1, delta], [0, 1-delta]] acts on rows (partner, k0); its
-    inverse is [[1, -delta/(1-delta)], [0, 1/(1-delta)]].
-    """
-    a, b = _block_indices(k_pops, k0)
+    a, b = (0, k0) if k0 != 0 else (1, 0)
+    if swap:
+        a, b = b, a
     r = np.eye(k_pops)
     r[a, b] = delta
     r[b, b] = 1.0 - delta
@@ -143,20 +136,57 @@ def rotation_matrices_Q(k_pops: int, k0: int, delta: float) -> tuple[np.ndarray,
     return r, r_inv
 
 
+def rotation_matrices_Q(k_pops: int, k0: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """K x K rotation R and its inverse for the admixture-side construction.
+
+    The 2x2 block [[1, delta], [0, 1-delta]] acts on rows (partner, k0); its
+    inverse is [[1, -delta/(1-delta)], [0, 1/(1-delta)]].
+    """
+    return _block_rotation(k_pops, k0, delta, swap=False)
+
+
 def rotation_matrices_F(k_pops: int, k0: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """K x K rotation R and its inverse for the frequency-side construction.
 
     The 2x2 block [[1-delta, 0], [delta, 1]] acts on the (partner, k0) pair;
     its inverse is [[1/(1-delta), 0], [-delta/(1-delta), 1]].
     """
-    a, b = _block_indices(k_pops, k0)
-    r = np.eye(k_pops)
-    r[a, a] = 1.0 - delta
-    r[b, a] = delta
-    r_inv = np.eye(k_pops)
-    r_inv[a, a] = 1.0 / (1.0 - delta)
-    r_inv[b, a] = -delta / (1.0 - delta)
-    return r, r_inv
+    return _block_rotation(k_pops, k0, delta, swap=True)
+
+
+def _pick(margins, ok, index, error, none_msg: str, bad_msg: str) -> int:
+    """The given index if ok there, else the first index that is ok.
+
+    bad_msg is formatted with the given index and its margin.
+    """
+    if index is None:
+        if not ok.any():
+            raise error(none_msg)
+        return int(ok.argmax())
+    if not ok[index]:
+        raise error(bad_msg.format(index, margins[index]))
+    return index
+
+
+def _rotation(feasible, delta, k0, tol, matrices, error, noun, none_msg, zero_msg) -> dict:
+    """delta, k0, R and R_inv from each population's largest feasible delta.
+
+    Without k0 the first population admitting delta is rotated (admitting
+    more than eq_tol when delta is omitted); without delta, half the
+    feasible one, at most 0.49.
+    """
+    if delta is not None and not 0.0 < delta < 0.5:
+        raise DeltaOutOfRange(f"delta={delta} outside (0, 0.5)")
+    if delta is None:
+        # a given k0 needs only a positive delta
+        ok = feasible > (tol.eq_tol if k0 is None else 0.0)
+        k0 = _pick(feasible, ok, k0, error, none_msg, zero_msg)
+        delta = min(feasible[k0] / 2.0, 0.49)
+    else:
+        short_msg = noun + " {0} only admits delta <= {1:g}, got " + f"{delta:g}"
+        k0 = _pick(feasible, feasible >= delta, k0, error, none_msg, short_msg)
+    r, r_inv = matrices(feasible.size, k0, delta)
+    return {"delta": float(delta), "k0": int(k0), "R": r, "R_inv": r_inv}
 
 
 def perturb_interior_Q_column(
@@ -180,26 +210,15 @@ def perturb_interior_Q_column(
     if not check_anchor_Q(Q, tol):
         raise PreconditionViolated("Q is missing an anchor column for some population")
     q = Q.values
-    if column is None:
-        interior = [i for i in range(Q.n_individuals) if q[:, i].min() > tol.eq_tol]
-        if not interior:
-            raise PreconditionViolated("Q has no strictly positive column")
-        column = interior[0]
-    elif q[:, column].min() <= tol.eq_tol:
-        raise PreconditionViolated(f"column {column} is not strictly positive")
-    d = null_shift_direction(F.values)
-    alt_col = shift_to_boundary(q[:, column], d)
-    q2 = q.copy()
-    q2[:, column] = alt_col
-    alternative = FactorPair(F, AdmixtureMatrix(q2, tol))
-    return _certify(
-        original, alternative, "Q_interior_column", {"column": int(column)}
+    margins = q.min(axis=0)
+    column = _pick(
+        margins, margins > tol.eq_tol, column, PreconditionViolated,
+        "Q has no strictly positive column", "column {0} is not strictly positive",
     )
-
-
-def _bounded_column_delta(f: np.ndarray, k: int) -> float:
-    # largest delta with delta <= F[:, k] <= 1 - delta entrywise
-    return float(min(f[:, k].min(), 1.0 - f[:, k].max()))
+    q2 = q.copy()
+    q2[:, column] = shift_to_boundary(q[:, column], null_shift_direction(F.values))
+    alternative = FactorPair(F, AdmixtureMatrix(q2, tol))
+    return _certify(original, alternative, "Q_interior_column", {"column": int(column)})
 
 
 def rotate_R_Q(
@@ -216,42 +235,22 @@ def rotate_R_Q(
     population k0 are destroyed while all others survive.
     """
     original = FactorPair(F, Q)
-    k_pops = F.n_pops
-    if k_pops < 2:
+    if F.n_pops < 2:
         raise PreconditionViolated("at least two populations are required")
     if not check_indep_F(F, tol):
         raise PreconditionViolated("F columns must admit unique decompositions")
-    if delta is not None and not 0.0 < delta < 0.5:
-        raise DeltaOutOfRange(f"delta={delta} outside (0, 0.5)")
     f = F.values
-    if k0 is None:
-        candidates = [
-            k for k in range(k_pops)
-            if (delta is not None and _bounded_column_delta(f, k) >= delta)
-            or (delta is None and _bounded_column_delta(f, k) > tol.eq_tol)
-        ]
-        if not candidates:
-            raise NoBoundedColumn(
-                "no column of F stays within [delta, 1-delta] entrywise"
-            )
-        k0 = candidates[0]
-    feasible = _bounded_column_delta(f, k0)
-    if delta is None:
-        delta = min(feasible / 2.0, 0.49)
-        if delta <= 0:
-            raise NoBoundedColumn(f"column {k0} touches 0 or 1; no feasible delta")
-    elif feasible < delta:
-        raise NoBoundedColumn(
-            f"column {k0} only admits delta <= {feasible:g}, got {delta:g}"
-        )
-    r, r_inv = rotation_matrices_Q(k_pops, k0, delta)
+    # largest delta with delta <= F[:, k] <= 1 - delta entrywise
+    feasible = np.minimum(f.min(axis=0), 1.0 - f.max(axis=0))
+    rot = _rotation(
+        feasible, delta, k0, tol, rotation_matrices_Q, NoBoundedColumn, "column",
+        "no column of F stays within [delta, 1-delta] entrywise",
+        "column {0} touches 0 or 1; no feasible delta",
+    )
     alternative = FactorPair(
-        FrequencyMatrix(f @ r_inv, tol), AdmixtureMatrix(r @ Q.values, tol)
+        FrequencyMatrix(f @ rot["R_inv"], tol), AdmixtureMatrix(rot["R"] @ Q.values, tol)
     )
-    return _certify(
-        original, alternative, "R_rotation_Q",
-        {"delta": float(delta), "k0": int(k0), "R": r, "R_inv": r_inv},
-    )
+    return _certify(original, alternative, "R_rotation_Q", rot)
 
 
 def perturb_F_row(
@@ -275,27 +274,18 @@ def perturb_F_row(
     if F.n_loci < F.n_pops + 1:
         raise PreconditionViolated("F needs at least K+1 rows")
     f = F.values
-    if row is None:
-        interior = [
-            s for s in range(F.n_loci)
-            if min(f[s].min(), 1.0 - f[s].max()) > tol.eq_tol
-        ]
-        if not interior:
-            raise PreconditionViolated(
-                "F has no row bounded away from 0 and 1 entrywise"
-            )
-        row = interior[0]
-    margin = float(min(f[row].min(), 1.0 - f[row].max()))
-    if margin <= tol.eq_tol:
-        raise PreconditionViolated(f"row {row} is not interior")
+    margins = np.minimum(f.min(axis=1), 1.0 - f.max(axis=1))
+    row = _pick(
+        margins, margins > tol.eq_tol, row, PreconditionViolated,
+        "F has no row bounded away from 0 and 1 entrywise", "row {0} is not interior",
+    )
+    margin = margins[row]
     v = null_space_vector(Q.values, tol)
     assert v is not None
     if alpha is None:
         alpha = margin / max_abs(v) / 2.0
     elif abs(alpha) * max_abs(v) > margin:
-        raise PreconditionViolated(
-            f"alpha={alpha:g} pushes row {row} outside [0, 1]"
-        )
+        raise PreconditionViolated(f"alpha={alpha:g} pushes row {row} outside [0, 1]")
     f2 = f.copy()
     f2[row] = f[row] + alpha * v
     alternative = FactorPair(FrequencyMatrix(f2, tol), Q)
@@ -319,40 +309,31 @@ def rotate_R_F(
     of F for population k0 are destroyed while all others survive.
     """
     original = FactorPair(F, Q)
-    k_pops = Q.n_pops
-    if k_pops < 2:
+    if Q.n_pops < 2:
         raise PreconditionViolated("at least two populations are required")
     if not check_indep_Q(Q, tol):
         raise PreconditionViolated("Q rows must be linearly independent")
-    if delta is not None and not 0.0 < delta < 0.5:
-        raise DeltaOutOfRange(f"delta={delta} outside (0, 0.5)")
     q = Q.values
-    row_min = q.min(axis=1)
-    if k0 is None:
-        candidates = [
-            k for k in range(k_pops)
-            if (delta is not None and row_min[k] >= delta)
-            or (delta is None and row_min[k] > tol.eq_tol)
-        ]
-        if not candidates:
-            raise NoBoundedRow("no row of Q is bounded below by delta")
-        k0 = candidates[0]
-    if delta is None:
-        delta = min(float(row_min[k0]) / 2.0, 0.49)
-        if delta <= 0:
-            raise NoBoundedRow(f"row {k0} has a zero entry; no feasible delta")
-    elif row_min[k0] < delta:
-        raise NoBoundedRow(
-            f"row {k0} only admits delta <= {row_min[k0]:g}, got {delta:g}"
-        )
-    r, r_inv = rotation_matrices_F(k_pops, k0, delta)
+    rot = _rotation(
+        q.min(axis=1), delta, k0, tol, rotation_matrices_F, NoBoundedRow, "row",
+        "no row of Q is bounded below by delta",
+        "row {0} has a zero entry; no feasible delta",
+    )
     alternative = FactorPair(
-        FrequencyMatrix(F.values @ r, tol), AdmixtureMatrix(r_inv @ q, tol)
+        FrequencyMatrix(F.values @ rot["R"], tol), AdmixtureMatrix(rot["R_inv"] @ q, tol)
     )
-    return _certify(
-        original, alternative, "R_rotation_F",
-        {"delta": float(delta), "k0": int(k0), "R": r, "R_inv": r_inv},
-    )
+    return _certify(original, alternative, "R_rotation_F", rot)
+
+
+def _padded_identity(kind, k_pops: int, n: int, tol: Tolerance, lead=(), pad: int = 0):
+    """kind built from n vectors of length K: lead, e_0 .. e_{K-1}, then e_pad.
+
+    An AdmixtureMatrix takes them as its columns, a FrequencyMatrix as rows.
+    """
+    eye = np.eye(k_pops)
+    vecs = [*lead, *eye]
+    vecs += [eye[pad]] * (n - len(vecs))
+    return kind(np.column_stack(vecs) if kind is AdmixtureMatrix else np.vstack(vecs), tol)
 
 
 def necessity_pq(
@@ -378,17 +359,11 @@ def necessity_pq(
     d = null_shift_direction(F.values)
     p = shift_to_boundary(uniform, d)
     q_vec = shift_to_boundary(uniform, -d)
-
-    def assemble(first: np.ndarray) -> AdmixtureMatrix:
-        cols = [first, *(np.eye(k_pops)[:, k] for k in range(k_pops))]
-        cols += [np.eye(k_pops)[:, 0]] * (n_individuals - k_pops - 1)
-        return AdmixtureMatrix(np.column_stack(cols), tol)
-
-    original = FactorPair(F, assemble(p))
-    alternative = FactorPair(F, assemble(q_vec))
-    return _certify(
-        original, alternative, "necessity_pq", {"p": p, "q": q_vec}
+    original, alternative = (
+        FactorPair(F, _padded_identity(AdmixtureMatrix, k_pops, n_individuals, tol, (first,)))
+        for first in (p, q_vec)
     )
+    return _certify(original, alternative, "necessity_pq", {"p": p, "q": q_vec})
 
 
 def necessity_F_rows(
@@ -411,15 +386,11 @@ def necessity_F_rows(
     v = null_space_vector(Q.values, tol)
     assert v is not None
     delta = 0.25 / max_abs(v)
-
-    def assemble(first: np.ndarray) -> FrequencyMatrix:
-        rows = [first, *np.eye(k_pops)]
-        rows += [np.eye(k_pops)[0]] * (n_loci - k_pops - 1)
-        return FrequencyMatrix(np.vstack(rows), tol)
-
     half = np.full(k_pops, 0.5)
-    original = FactorPair(assemble(half), Q)
-    alternative = FactorPair(assemble(half + delta * v), Q)
+    original, alternative = (
+        FactorPair(_padded_identity(FrequencyMatrix, k_pops, n_loci, tol, (first,)), Q)
+        for first in (half, half + delta * v)
+    )
     return _certify(
         original, alternative, "necessity_F_rows", {"delta": float(delta), "v": v}
     )
@@ -446,15 +417,10 @@ def unadmixed_dup_column(
     if not pairs.size:
         raise NoDuplicateColumns("F has no two columns equal within eq_tol")
     k, l = pairs[0]
-
-    def assemble(target: int) -> AdmixtureMatrix:
-        cols = [*np.eye(k_pops).T] + [np.eye(k_pops)[:, target]] * (
-            n_individuals - k_pops
-        )
-        return AdmixtureMatrix(np.column_stack(cols), tol)
-
-    original = FactorPair(F, assemble(k))
-    alternative = FactorPair(F, assemble(l))
+    original, alternative = (
+        FactorPair(F, _padded_identity(AdmixtureMatrix, k_pops, n_individuals, tol, pad=target))
+        for target in (k, l)
+    )
     return _certify(
         original, alternative, "unadmixed_dup_column", {"k": int(k), "l": int(l)}
     )
@@ -466,9 +432,13 @@ def unadmixed_missing_anchor(
     """Swap out the F column of a population no individual belongs to.
 
     Requires every Q column to be a basis vector with some population k
-    unused; the replacement column is picked deterministically (entrywise
-    flip x -> 1-x, nudged by +0.1 mod 1 until distinct from every column)
-    and never touches the product.
+    unused; the replacement column never touches the product. It is the
+    first candidate more than eq_tol from every F column, in this order:
+    the entrywise flip x -> 1-x, the flip nudged by +0.1 (mod 1) up to nine
+    times, then the flip shifted by j/(K+1) (mod 1) for j = 1..K. Each F
+    column rules out an arc of shifts 2 eq_tol long, so one of the K+1
+    shifts 1/(K+1) apart is free whenever 2 eq_tol < 1/(K+1); when eq_tol
+    leaves no candidate free, PreconditionViolated is raised.
     """
     original = FactorPair(F, Q)
     if not check_distinct_columns(F, tol):
@@ -484,12 +454,17 @@ def unadmixed_missing_anchor(
         raise PreconditionViolated("every population has an individual; nothing to swap")
     k = int(missing[0])
     f = F.values
-    candidate = 1.0 - f[:, k]
-    while (max_abs_distances(candidate[None], f.T) <= tol.eq_tol).any():
-        candidate = np.mod(candidate + 0.1, 1.0)
+    flip = 1.0 - f[:, k]
+    candidates = [flip]
+    for _ in range(9):
+        candidates.append(np.mod(candidates[-1] + 0.1, 1.0))
+    candidates += [np.mod(flip + j / (k_pops + 1), 1.0) for j in range(1, k_pops + 1)]
+    free = ~(max_abs_distances(np.array(candidates), f.T) <= tol.eq_tol).any(axis=1)
+    if not free.any():
+        raise PreconditionViolated(
+            f"every replacement tried for column {k} lies within eq_tol of an F column"
+        )
     f2 = f.copy()
-    f2[:, k] = candidate
+    f2[:, k] = candidates[int(free.argmax())]
     alternative = FactorPair(FrequencyMatrix(f2, tol), Q)
-    return _certify(
-        original, alternative, "unadmixed_missing_anchor", {"k": int(k)}
-    )
+    return _certify(original, alternative, "unadmixed_missing_anchor", {"k": int(k)})

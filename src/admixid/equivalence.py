@@ -41,14 +41,6 @@ class EquivalenceResult:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _match_distances(pair1: FactorPair, pair2: FactorPair) -> np.ndarray:
-    """d[k, j]: distance between pop k of pair2 and pop j of pair1."""
-    def pops(pair: FactorPair) -> np.ndarray:
-        return np.hstack([pair.F.values.T, pair.Q.values])
-
-    return max_abs_distances(pops(pair2), pops(pair1))
-
-
 def are_equivalent(
     pair1: FactorPair, pair2: FactorPair, tol: Tolerance = DEFAULT_TOL
 ) -> EquivalenceResult:
@@ -74,7 +66,9 @@ def are_equivalent(
                 f"{pair2.n_loci}x{pair2.n_individuals}"
             ),
         )
-    d = _match_distances(pair1, pair2)
+    # d[k, j]: distance between population k of pair2 and j of pair1
+    pops1, pops2 = (np.hstack([p.F.values.T, p.Q.values]) for p in (pair1, pair2))
+    d = max_abs_distances(pops2, pops1)
     k_pops = d.shape[0]
     _, perm = linear_sum_assignment(np.where(d <= tol.eq_tol, d, k_pops * tol.eq_tol + 1))
     if (d[np.arange(k_pops), perm] <= tol.eq_tol).all():

@@ -8,7 +8,7 @@ admixture proportions with unit column sums. Entries of the product stay in
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist

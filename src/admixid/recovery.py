@@ -24,11 +24,7 @@ from .convex import (
     has_unique_decompositions,
     minimal_generating_columns,
 )
-from .cones import (
-    NotACone,
-    has_unique_conic_decompositions,
-    minimal_conic_generating_rows,
-)
+from .cones import has_unique_conic_decompositions, minimal_conic_generating_rows
 from .matrices import (
     DEFAULT_TOL,
     AdmixtureMatrix,
@@ -192,11 +188,7 @@ def recover_anchor_F(
     nonzero = np.flatnonzero(np.abs(p).max(axis=1) > tol.eq_tol)
     if not nonzero.size:
         raise DecompositionInfeasible("input is numerically zero; no rays to recover")
-    try:
-        kept_local = minimal_conic_generating_rows(p[nonzero], tol)
-    except NotACone as exc:  # nonnegative rows should always form a cone
-        raise DecompositionInfeasible(str(exc)) from exc
-    kept = nonzero[kept_local]
+    kept = nonzero[minimal_conic_generating_rows(p[nonzero], tol)]
     rays = p[kept]
     k_pops = len(kept)
     if not has_unique_conic_decompositions(rays, tol):

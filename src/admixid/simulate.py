@@ -11,7 +11,7 @@ and rows can be filled independently (the per-row key is self-contained).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def _check_bounds(model_class: str, k: int, m: int, n: int) -> None:
         )
 
 
-def _sample_anchor_q(rng, k, m, n, tol):
+def _sample_anchor_q(rng, k, m, n):
     f = rng.uniform(size=(m, k))
     q = rng.uniform(size=(k, n))
     q /= q.sum(axis=0, keepdims=True)
@@ -128,7 +128,7 @@ def _sample_anchor_q(rng, k, m, n, tol):
     return f, q
 
 
-def _sample_anchor_f(rng, k, m, n, tol):
+def _sample_anchor_f(rng, k, m, n):
     f = rng.uniform(size=(m, k))
     anchor_at = rng.choice(m, size=k, replace=False)
     for pop, s in enumerate(anchor_at):
@@ -140,7 +140,7 @@ def _sample_anchor_f(rng, k, m, n, tol):
     return f, q
 
 
-def _sample_unadmixed(rng, k, m, n, tol):
+def _sample_unadmixed(rng, k, m, n):
     f = rng.uniform(size=(m, k))
     assignment = np.concatenate([np.arange(k), rng.integers(0, k, size=n - k)])
     rng.shuffle(assignment)
@@ -179,7 +179,7 @@ def generate_instance(
     }[regime]
     rng = np.random.default_rng(seed)
     for _ in range(_GENERATION_ATTEMPTS):
-        f_vals, q_vals = sampler(rng, k, m, n, tol)
+        f_vals, q_vals = sampler(rng, k, m, n)
         pair = FactorPair(FrequencyMatrix(f_vals, tol), AdmixtureMatrix(q_vals, tol))
         report = classify(pair.F, pair.Q, tol)
         if getattr(report, member_flag):

@@ -1,11 +1,16 @@
 """End-to-end command-line behaviour, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from admixid import read_matrix, write_matrix
+import admixid
+from admixid import generate_instance, read_matrix, write_matrix
 from admixid.cli import main
 
 
@@ -315,3 +320,58 @@ def test_output_flag_writes_report_file(capsys, tmp_path, anchor_pair_files):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["K"] == 2
+
+
+def test_recover_auto_keeps_a_tiny_locus_in_anchor_f(capsys, tmp_path):
+    pair = generate_instance("anchorF", 3, 20, 15, 0)
+    f = np.vstack([pair.F.values, np.full((1, 3), 1.5e-8)])
+    pi = write_csv(tmp_path / "P.csv", f @ pair.Q.values)
+    code, out, _ = run(capsys, ["recover", "--pi", pi, "--out-dir", str(tmp_path / "rec")])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["regime"], report["K"]) == ("anchorF", 3)
+
+
+def missing_anchor_input(tmp_path):
+    """M=1, K=10: every flip-and-0.1 shift of column 0 lands on another column."""
+    q = np.zeros((10, 9))
+    q[np.arange(1, 10), np.arange(9)] = 1.0
+    f = write_csv(tmp_path / "F.csv", [[0.05 + 0.1 * j for j in range(10)]])
+    return f, write_csv(tmp_path / "Q.csv", q)
+
+
+def run_in_subprocess(argv):
+    """The console entry point in a child process, killed after 60 s.
+
+    For commands that once looped forever: a hang fails the test instead of
+    stalling the suite.
+    """
+    src = str(Path(admixid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "admixid.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+def test_missing_anchor_search_ends_when_every_tenth_collides(tmp_path):
+    f, q = missing_anchor_input(tmp_path)
+    out_dir = tmp_path / "out"
+    proc = run_in_subprocess(["counterexample", "--construction", "unadmixed_missing_anchor",
+                              "--f", f, "--q", q, "--out-dir", str(out_dir)])
+    assert proc.returncode == 0, proc.stderr
+    f2 = read_matrix(out_dir / "F2.csv")
+    # the first of the 11 shifts 1/11 apart past the flip 0.95
+    assert f2[0, 0] == pytest.approx((0.95 + 1 / 11) % 1.0, abs=1e-12)
+    assert np.array_equal(f2[:, 1:], read_matrix(f)[:, 1:])
+
+
+def test_missing_anchor_without_a_free_shift_exits_5(tmp_path):
+    # at eq_tol 0.05 every point of [0, 1) lies within eq_tol of an F column
+    f, q = missing_anchor_input(tmp_path)
+    proc = run_in_subprocess(["--tol", "0.05", "counterexample", "--construction",
+                              "unadmixed_missing_anchor", "--f", f, "--q", q,
+                              "--out-dir", str(tmp_path / "out")])
+    assert proc.returncode == 5
+    assert "every replacement tried for column 0" in proc.stderr

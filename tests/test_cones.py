@@ -139,6 +139,8 @@ def test_minimal_rows_skip_the_lp_when_row_sums_decide(monkeypatch):
     # every row sum above 2 d eq_tol: no nonnegative combination can vanish
     assert minimal_conic_generating_rows(rows([1, 0.5], [0.2, 0.9], [1.2, 1.4])) == [0, 1]
     assert minimal_conic_generating_rows(rows([1, -0.5], [0.2, 0.9])) == [0, 1]
+    # nonnegative rows, one of them summing to under 2 d eq_tol: still a cone
+    assert minimal_conic_generating_rows(rows([1, 0], [1.5e-8, 1.5e-8])) == [0, 1]
     assert calls == []
     assert minimal_conic_generating_rows(rows([1, 0], [0.5, -1])) == [0, 1]
     with pytest.raises(NotACone):

@@ -7,6 +7,8 @@ from admixid import (
     AmbiguousAssignment,
     DecompositionInfeasible,
     ExpectedFreqMatrix,
+    FactorPair,
+    FrequencyMatrix,
     NonUniqueDecomposition,
     ScalingInfeasible,
     are_equivalent,
@@ -140,6 +142,16 @@ def test_round_trip_anchor_f():
         rec = recover_anchor_F(pair.product())
         assert rec.n_pops == k
         assert are_equivalent(pair, rec.pair(), ROUND_TRIP_TOL).equivalent
+
+
+def test_anchor_f_keeps_a_tiny_locus_as_a_ray():
+    # a locus at 1.5e-8 sums to under 2 d eq_tol; nonnegative rows still form
+    # a cone, so it takes no line test and is decomposed like any other row
+    pair = generate_instance("anchorF", 3, 20, 15, 0)
+    F = FrequencyMatrix(np.vstack([pair.F.values, np.full((1, 3), 1.5e-8)]))
+    rec = recover_anchor_F(pi_of(F.values @ pair.Q.values))
+    assert (rec.regime, rec.n_pops) == ("anchorF", 3)
+    assert are_equivalent(FactorPair(F, pair.Q), rec.pair()).equivalent
 
 
 def test_round_trip_unadmixed():
