@@ -61,6 +61,14 @@ _PRECONDITION_ERRORS = (
     GenerationFailed,
 )
 
+# each regime's recover function, in the order --regime auto tries them; tuples,
+# as in _CONSTRUCTIONS, are where perfbench's tracer finds functions to wrap
+_REGIMES = {
+    "anchorQ": (recover_anchor_Q,),
+    "anchorF": (recover_anchor_F,),
+    "unadmixed": (recover_unadmixed,),
+}
+
 # each construction's two inputs, by flag name, in call order
 _CONSTRUCTIONS = {
     "perturb_interior_Q_column": (("f", "q"), cx.perturb_interior_Q_column),
@@ -92,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="recover (F, Q) from an expected frequency matrix")
     p.add_argument("--pi", required=True, metavar="PATH", help="expected frequency CSV")
-    p.add_argument("--regime", choices=["anchorQ", "anchorF", "unadmixed", "auto"],
+    p.add_argument("--regime", choices=[*_REGIMES, "auto"],
                    default="auto", help="recovery regime (default auto)")
     p.add_argument("--out-dir", default=".", metavar="DIR",
                    help="directory for F.csv and Q.csv (default .)")
@@ -177,19 +185,13 @@ def _cmd_check(args, tol: Tolerance) -> int:
 
 def _cmd_recover(args, tol: Tolerance) -> int:
     pi = ExpectedFreqMatrix(read_matrix(args.pi), tol)
-    order = (
-        ["anchorQ", "anchorF", "unadmixed"] if args.regime == "auto" else [args.regime]
-    )
-    runners = {
-        "anchorQ": recover_anchor_Q,
-        "anchorF": recover_anchor_F,
-        "unadmixed": recover_unadmixed,
-    }
+    order = list(_REGIMES) if args.regime == "auto" else [args.regime]
     result = None
     failures = []
     for regime in order:
+        (runner,) = _REGIMES[regime]
         try:
-            result = runners[regime](pi, tol)
+            result = runner(pi, tol)
             break
         except RecoveryError as exc:
             failures.append(f"{regime}: {exc}")

@@ -49,6 +49,15 @@ __all__ = [
 ]
 
 
+# regime -> (its two conditions, its member flag, its K bound from (M, N)), as
+# ConditionReport flag names in the order recovery validates them
+_MODEL_CLASSES = {
+    "anchorQ": (("anchor_Q", "indep_F"), "member_anchor_q_model", lambda m, n: min(m + 1, n)),
+    "anchorF": (("anchor_F", "indep_Q"), "member_anchor_f_model", lambda m, n: min(m, n)),
+    "unadmixed": (("distinct_cols_F", "unadmixed_Q"), "member_unadmixed_model", lambda m, n: n),
+}
+
+
 def basis_distances(q: np.ndarray) -> np.ndarray:
     """d[k, i] = max |q[:, i] - e_k|, the distance of each column to each e_k.
 
@@ -153,25 +162,19 @@ def classify(
     k_pops, m, n = F.n_pops, F.n_loci, Q.n_individuals
     f_rows = anchor_F_rows(F, tol)
     q_cols = anchor_Q_columns(Q, tol)
-    a_f = all(s is not None for s in f_rows)
-    a_q = all(i is not None for i in q_cols)
-    i_f = check_indep_F(F, tol)
-    i_q = check_indep_Q(Q, tol)
-    d_f = check_distinct_columns(F, tol)
-    ua_q = check_unadmixed(Q, tol)
+    flags = {
+        "anchor_F": all(s is not None for s in f_rows),
+        "anchor_Q": all(i is not None for i in q_cols),
+        "indep_F": check_indep_F(F, tol),
+        "indep_Q": check_indep_Q(Q, tol),
+        "distinct_cols_F": check_distinct_columns(F, tol),
+        "unadmixed_Q": check_unadmixed(Q, tol),
+    }
+    members = {
+        member: all(flags[c] for c in conditions) and k_pops <= bound(m, n)
+        for conditions, member, bound in _MODEL_CLASSES.values()
+    }
     return ConditionReport(
-        K=k_pops,
-        M=m,
-        N=n,
-        anchor_F=a_f,
-        anchor_F_rows=f_rows,
-        anchor_Q=a_q,
-        anchor_Q_cols=q_cols,
-        indep_F=i_f,
-        indep_Q=i_q,
-        distinct_cols_F=d_f,
-        unadmixed_Q=ua_q,
-        member_anchor_q_model=i_f and a_q and k_pops <= min(m + 1, n),
-        member_anchor_f_model=a_f and i_q and k_pops <= min(m, n),
-        member_unadmixed_model=d_f and ua_q and k_pops <= n,
+        K=k_pops, M=m, N=n, anchor_F_rows=f_rows, anchor_Q_cols=q_cols,
+        **flags, **members,
     )

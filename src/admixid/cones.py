@@ -21,10 +21,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from .convex import _decompositions, _sweep
+from .convex import _columns, _decompose, _sweep
 from .matrices import (
     DEFAULT_TOL,
-    DimensionMismatch,
     Tolerance,
     first_distinct_rows,
     max_abs,
@@ -51,10 +50,7 @@ class ZeroVector(ValueError):
 
 
 def _rows(generators) -> np.ndarray:
-    r = np.asarray(generators, dtype=float)
-    if r.ndim != 2:
-        raise ValueError("generators must be a 2-D array with one row per generator")
-    return r
+    return _columns(generators, "row")
 
 
 def conic_decompose(
@@ -65,13 +61,7 @@ def conic_decompose(
     Plain nonnegative least squares; accepted only if the reconstruction
     matches within eq_tol, otherwise None.
     """
-    r = _rows(generators)
-    v = np.asarray(target, dtype=float).ravel()
-    if v.shape[0] != r.shape[1]:
-        raise DimensionMismatch(
-            f"target has dimension {v.shape[0]} but generators have {r.shape[1]}"
-        )
-    return next(_decompositions(v[:, None], r.T, tol, unit_sum=False))
+    return _decompose(target, _rows(generators).T, tol, unit_sum=False)
 
 
 def wedge_is_cone(generators, tol: Tolerance = DEFAULT_TOL) -> bool:

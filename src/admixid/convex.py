@@ -28,6 +28,7 @@ from .matrices import (
     DEFAULT_TOL,
     DimensionMismatch,
     Tolerance,
+    _first_nonzero_positive,
     first_distinct_rows,
     max_abs,
     numeric_rank,
@@ -56,10 +57,10 @@ class NotOpenCombination(ValueError):
     """The supplied decomposition is not strictly positive."""
 
 
-def _columns(generators) -> np.ndarray:
+def _columns(generators, per: str = "column") -> np.ndarray:
     g = np.asarray(generators, dtype=float)
     if g.ndim != 2:
-        raise ValueError("generators must be a 2-D array with one column per generator")
+        raise ValueError(f"generators must be a 2-D array with one {per} per generator")
     return g
 
 
@@ -119,6 +120,16 @@ def _decompositions(targets, generators, tol: Tolerance, unit_sum: bool):
         yield _weights(g_coords, t, generators, cols, target, tol, unit_sum)
 
 
+def _decompose(target, generators: np.ndarray, tol: Tolerance, unit_sum: bool):
+    """_weights of one target over the generator columns, after a dimension check."""
+    v = np.asarray(target, dtype=float).ravel()
+    if v.shape[0] != generators.shape[0]:
+        raise DimensionMismatch(
+            f"target has dimension {v.shape[0]} but generators have {generators.shape[0]}"
+        )
+    return next(_decompositions(v[:, None], generators, tol, unit_sum))
+
+
 def convex_decompose(
     target, generators, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray | None:
@@ -128,13 +139,7 @@ def convex_decompose(
     row, then accepts only if the reconstruction and the weight sum match
     within eq_tol. Returns None when the target is not in the convex hull.
     """
-    g = _columns(generators)
-    v = np.asarray(target, dtype=float).ravel()
-    if v.shape[0] != g.shape[0]:
-        raise DimensionMismatch(
-            f"target has dimension {v.shape[0]} but generators have {g.shape[0]}"
-        )
-    return next(_decompositions(v[:, None], g, tol, unit_sum=True))
+    return _decompose(target, _columns(generators), tol, unit_sum=True)
 
 
 def has_unique_decompositions(generators, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -198,10 +203,7 @@ def null_shift_direction(generators) -> np.ndarray:
     alpha = vt[-1]
     d = np.concatenate([alpha, [-alpha.sum()]])
     d /= np.max(np.abs(d))
-    nz = np.nonzero(np.abs(d) > 1e-12)[0]
-    if nz.size and d[nz[0]] < 0:
-        d = -d
-    return d
+    return _first_nonzero_positive(d)
 
 
 def shift_to_boundary(weights: np.ndarray, d: np.ndarray) -> np.ndarray:

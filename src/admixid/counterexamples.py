@@ -26,6 +26,7 @@ from .conditions import (
     check_indep_Q,
 )
 from .convex import null_shift_direction, shift_to_boundary
+from .equivalence import are_equivalent
 from .matrices import (
     DEFAULT_TOL,
     AdmixtureMatrix,
@@ -111,7 +112,13 @@ def _certify(
     alternative: FactorPair,
     construction: str,
     parameters: dict,
+    tol: Tolerance,
 ) -> CounterexamplePair:
+    if are_equivalent(original, alternative, tol):
+        raise PreconditionViolated(
+            "the alternative is within eq_tol of a relabelling of the original "
+            "pair, so it is no counterexample"
+        )
     gap = max_abs(
         original.F.values @ original.Q.values
         - alternative.F.values @ alternative.Q.values
@@ -155,7 +162,7 @@ def rotation_matrices_F(k_pops: int, k0: int, delta: float) -> tuple[np.ndarray,
 
 
 def _pick(margins, ok, index, error, none_msg: str, bad_msg: str) -> int:
-    """The given index if ok there, else the first index that is ok.
+    """The given index, if in range and ok there; without one, the first that is ok.
 
     bad_msg is formatted with the given index and its margin.
     """
@@ -163,6 +170,8 @@ def _pick(margins, ok, index, error, none_msg: str, bad_msg: str) -> int:
         if not ok.any():
             raise error(none_msg)
         return int(ok.argmax())
+    if not 0 <= index < ok.size:
+        raise PreconditionViolated(f"index {index} out of range for {ok.size} entries")
     if not ok[index]:
         raise error(bad_msg.format(index, margins[index]))
     return index
@@ -218,7 +227,7 @@ def perturb_interior_Q_column(
     q2 = q.copy()
     q2[:, column] = shift_to_boundary(q[:, column], null_shift_direction(F.values))
     alternative = FactorPair(F, AdmixtureMatrix(q2, tol))
-    return _certify(original, alternative, "Q_interior_column", {"column": int(column)})
+    return _certify(original, alternative, "Q_interior_column", {"column": int(column)}, tol)
 
 
 def rotate_R_Q(
@@ -250,7 +259,7 @@ def rotate_R_Q(
     alternative = FactorPair(
         FrequencyMatrix(f @ rot["R_inv"], tol), AdmixtureMatrix(rot["R"] @ Q.values, tol)
     )
-    return _certify(original, alternative, "R_rotation_Q", rot)
+    return _certify(original, alternative, "R_rotation_Q", rot, tol)
 
 
 def perturb_F_row(
@@ -291,7 +300,7 @@ def perturb_F_row(
     alternative = FactorPair(FrequencyMatrix(f2, tol), Q)
     return _certify(
         original, alternative, "F_row_perturbation",
-        {"row": int(row), "alpha": float(alpha), "v": v},
+        {"row": int(row), "alpha": float(alpha), "v": v}, tol,
     )
 
 
@@ -322,7 +331,7 @@ def rotate_R_F(
     alternative = FactorPair(
         FrequencyMatrix(F.values @ rot["R"], tol), AdmixtureMatrix(rot["R_inv"] @ q, tol)
     )
-    return _certify(original, alternative, "R_rotation_F", rot)
+    return _certify(original, alternative, "R_rotation_F", rot, tol)
 
 
 def _padded_identity(kind, k_pops: int, n: int, tol: Tolerance, lead=(), pad: int = 0):
@@ -363,7 +372,7 @@ def necessity_pq(
         FactorPair(F, _padded_identity(AdmixtureMatrix, k_pops, n_individuals, tol, (first,)))
         for first in (p, q_vec)
     )
-    return _certify(original, alternative, "necessity_pq", {"p": p, "q": q_vec})
+    return _certify(original, alternative, "necessity_pq", {"p": p, "q": q_vec}, tol)
 
 
 def necessity_F_rows(
@@ -392,7 +401,7 @@ def necessity_F_rows(
         for first in (half, half + delta * v)
     )
     return _certify(
-        original, alternative, "necessity_F_rows", {"delta": float(delta), "v": v}
+        original, alternative, "necessity_F_rows", {"delta": float(delta), "v": v}, tol,
     )
 
 
@@ -422,7 +431,7 @@ def unadmixed_dup_column(
         for target in (k, l)
     )
     return _certify(
-        original, alternative, "unadmixed_dup_column", {"k": int(k), "l": int(l)}
+        original, alternative, "unadmixed_dup_column", {"k": int(k), "l": int(l)}, tol,
     )
 
 
@@ -467,4 +476,4 @@ def unadmixed_missing_anchor(
     f2 = f.copy()
     f2[:, k] = candidates[int(free.argmax())]
     alternative = FactorPair(FrequencyMatrix(f2, tol), Q)
-    return _certify(original, alternative, "unadmixed_missing_anchor", {"k": int(k)})
+    return _certify(original, alternative, "unadmixed_missing_anchor", {"k": int(k)}, tol)

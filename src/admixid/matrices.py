@@ -129,40 +129,39 @@ def span_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u[:, :r], s[:r], vt[:r]
 
 
-def _as_2d_float(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{what} must be 2-D, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimensionMismatch(f"{what} must have at least one row and column")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} has non-finite entries")
-    return arr
-
-
-def _check_unit_box(arr: np.ndarray, what: str, slack: float) -> np.ndarray:
-    # entries may stray from [0,1] by at most slack; stored values are clipped
-    if arr.min() < -slack or arr.max() > 1.0 + slack:
-        raise ValueError(
-            f"{what} entries must lie in [0, 1] (within {slack:g}); "
-            f"found range [{arr.min():g}, {arr.max():g}]"
-        )
-    return np.clip(arr, 0.0, 1.0)
-
-
 @dataclass(frozen=True, eq=False)
-class FrequencyMatrix:
-    """Loci x populations matrix of allele frequencies, entries in [0, 1]."""
+class _UnitBoxMatrix:
+    """A copy of values, checked 2-D, nonempty, finite and in [0, 1] within
+    eq_tol, then clipped into [0, 1] and made read-only; _what names it."""
 
     values: np.ndarray
     tol: InitVar[Tolerance | None] = None
 
     def __post_init__(self, tol):
-        tol = tol or DEFAULT_TOL
-        arr = _as_2d_float(self.values, "frequency matrix")
-        arr = _check_unit_box(arr, "frequency matrix", tol.eq_tol)
+        slack = (tol or DEFAULT_TOL).eq_tol
+        what = self._what
+        arr = np.array(self.values, dtype=float, copy=True)
+        if arr.ndim != 2:
+            raise DimensionMismatch(f"{what} must be 2-D, got ndim={arr.ndim}")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise DimensionMismatch(f"{what} must have at least one row and column")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{what} has non-finite entries")
+        if arr.min() < -slack or arr.max() > 1.0 + slack:
+            raise ValueError(
+                f"{what} entries must lie in [0, 1] (within {slack:g}); "
+                f"found range [{arr.min():g}, {arr.max():g}]"
+            )
+        arr = np.clip(arr, 0.0, 1.0)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+
+@dataclass(frozen=True, eq=False)
+class FrequencyMatrix(_UnitBoxMatrix):
+    """Loci x populations matrix of allele frequencies, entries in [0, 1]."""
+
+    _what = "frequency matrix"
 
     @property
     def n_loci(self) -> int:
@@ -174,25 +173,20 @@ class FrequencyMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class AdmixtureMatrix:
+class AdmixtureMatrix(_UnitBoxMatrix):
     """Populations x individuals matrix; nonnegative with unit column sums."""
 
-    values: np.ndarray
-    tol: InitVar[Tolerance | None] = None
+    _what = "admixture matrix"
 
     def __post_init__(self, tol):
-        tol = tol or DEFAULT_TOL
-        arr = _as_2d_float(self.values, "admixture matrix")
-        arr = _check_unit_box(arr, "admixture matrix", tol.eq_tol)
-        sums = arr.sum(axis=0)
-        bad = np.abs(sums - 1.0) > tol.eq_tol
+        super().__post_init__(tol)
+        sums = self.values.sum(axis=0)
+        bad = np.abs(sums - 1.0) > (tol or DEFAULT_TOL).eq_tol
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ValueError(
                 f"admixture matrix column {i} sums to {sums[i]:.12g}, expected 1"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
 
     @property
     def n_pops(self) -> int:
@@ -204,18 +198,10 @@ class AdmixtureMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class ExpectedFreqMatrix:
+class ExpectedFreqMatrix(_UnitBoxMatrix):
     """Loci x individuals matrix of expected allele frequencies in [0, 1]."""
 
-    values: np.ndarray
-    tol: InitVar[Tolerance | None] = None
-
-    def __post_init__(self, tol):
-        tol = tol or DEFAULT_TOL
-        arr = _as_2d_float(self.values, "expected frequency matrix")
-        arr = _check_unit_box(arr, "expected frequency matrix", tol.eq_tol)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+    _what = "expected frequency matrix"
 
     @property
     def n_loci(self) -> int:
@@ -284,6 +270,12 @@ def numeric_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.sum(s > cutoff))
 
 
+def _first_nonzero_positive(v: np.ndarray) -> np.ndarray:
+    """v, or -v where its first component above 1e-12 in magnitude is negative."""
+    nz = np.flatnonzero(np.abs(v) > 1e-12)
+    return -v if nz.size and v[nz[0]] < 0 else v
+
+
 def null_space_vector(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     """Unit-norm left null vector v with v @ a = 0, or None at full row rank.
 
@@ -296,8 +288,4 @@ def null_space_vector(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
     if numeric_rank(arr, tol) >= arr.shape[0]:
         return None
     u, _, _ = np.linalg.svd(arr, full_matrices=True)
-    v = u[:, -1]
-    nz = np.nonzero(np.abs(v) > 1e-12)[0]
-    if nz.size and v[nz[0]] < 0:
-        v = -v
-    return v
+    return _first_nonzero_positive(u[:, -1])

@@ -16,9 +16,11 @@ regime's image.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .conditions import classify
+from .conditions import _MODEL_CLASSES, classify
 from .convex import (
     _decompositions,
     has_unique_decompositions,
@@ -70,22 +72,18 @@ class AmbiguousAssignment(RecoveryError):
     """An input column matches several recovered columns (distinctness violated)."""
 
 
+@dataclass(eq=False)
 class RecoveredFactorization:
     """Result of a recovery: factors, population count, fit, and warnings."""
 
-    def __init__(
-        self,
-        F: FrequencyMatrix,
-        Q: AdmixtureMatrix,
-        regime: str,
-        residual: float,
-        warnings: list[str] | None = None,
-    ):
-        self.F = F
-        self.Q = Q
-        self.regime = regime
-        self.residual = residual
-        self.warnings = list(warnings or [])
+    F: FrequencyMatrix
+    Q: AdmixtureMatrix
+    regime: str
+    residual: float
+    warnings: list[str] | None = None
+
+    def __post_init__(self):
+        self.warnings = list(self.warnings or [])
 
     @property
     def n_pops(self) -> int:
@@ -115,12 +113,24 @@ def _near_duplicate_warnings(vectors: np.ndarray, kind: str, tol: Tolerance) -> 
     ]
 
 
+def _weights_of(targets, generators, tol: Tolerance, unit_sum: bool, failure: str):
+    """One row per column of targets: its weights over the generator columns.
+
+    failure.format(i) is the DecompositionInfeasible text for target i.
+    """
+    weights = np.empty((targets.shape[1], generators.shape[1]))
+    for i, w in enumerate(_decompositions(targets, generators, tol, unit_sum)):
+        if w is None:
+            raise DecompositionInfeasible(failure.format(i))
+        weights[i] = w
+    return weights
+
+
 def _finalize(
     pi: ExpectedFreqMatrix,
     f_vals: np.ndarray,
     q_vals: np.ndarray,
     regime: str,
-    required: dict[str, bool],
     tol: Tolerance,
     warnings: list[str],
 ) -> RecoveredFactorization:
@@ -133,8 +143,9 @@ def _finalize(
             f"reconstruction residual {residual:.3g} exceeds 10x eq_tol"
         )
     report = classify(F, Q, tol)
-    for flag, expected in required.items():
-        if getattr(report, flag) is not expected:
+    conditions, member, _ = _MODEL_CLASSES[regime]
+    for flag in (*conditions, member):
+        if not getattr(report, flag):
             raise RecoveryError(
                 f"recovered pair fails {flag} validation for regime {regime}"
             )
@@ -160,19 +171,10 @@ def recover_anchor_Q(
             f"{k_pops} extreme columns are affinely dependent; "
             "decompositions over them are not unique"
         )
-    q_vals = np.empty((k_pops, p.shape[1]))
-    for i, w in enumerate(_decompositions(p, f_vals, tol, unit_sum=True)):
-        if w is None:
-            raise DecompositionInfeasible(
-                f"column {i} is not a convex combination of the extreme columns"
-            )
-        q_vals[:, i] = w
+    q_vals = _weights_of(p, f_vals, tol, True, "column {} is not a convex "
+                         "combination of the extreme columns").T.copy()
     warnings = _near_duplicate_warnings(f_vals.T, "column", tol)
-    return _finalize(
-        pi, f_vals, q_vals, "anchorQ",
-        {"anchor_Q": True, "indep_F": True, "member_anchor_q_model": True},
-        tol, warnings,
-    )
+    return _finalize(pi, f_vals, q_vals, "anchorQ", tol, warnings)
 
 
 def recover_anchor_F(
@@ -207,19 +209,10 @@ def recover_anchor_F(
             f"column-sum scaling has a nonpositive weight {eps.min():.3g}"
         )
     q_vals = eps[:, None] * rays
-    f_vals = np.empty((p.shape[0], k_pops))
-    for s, w in enumerate(_decompositions(p.T, q_vals.T, tol, unit_sum=False)):
-        if w is None:
-            raise DecompositionInfeasible(
-                f"row {s} is not a nonnegative combination of the recovered rows"
-            )
-        f_vals[s] = w
+    f_vals = _weights_of(p.T, q_vals.T, tol, False, "row {} is not a nonnegative "
+                         "combination of the recovered rows")
     warnings = _near_duplicate_warnings(rays, "ray", tol)
-    return _finalize(
-        pi, f_vals, q_vals, "anchorF",
-        {"anchor_F": True, "indep_Q": True, "member_anchor_f_model": True},
-        tol, warnings,
-    )
+    return _finalize(pi, f_vals, q_vals, "anchorF", tol, warnings)
 
 
 def recover_unadmixed(
@@ -250,8 +243,4 @@ def recover_unadmixed(
         raise DecompositionInfeasible(f"column {i} matches no recovered column")
     q_vals = match.astype(float)
     warnings = _near_duplicate_warnings(f_vals.T, "column", tol)
-    return _finalize(
-        pi, f_vals, q_vals, "unadmixed",
-        {"distinct_cols_F": True, "unadmixed_Q": True, "member_unadmixed_model": True},
-        tol, warnings,
-    )
+    return _finalize(pi, f_vals, q_vals, "unadmixed", tol, warnings)

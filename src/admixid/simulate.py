@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import classify
+from .conditions import _MODEL_CLASSES, classify
 from .matrices import (
     DEFAULT_TOL,
     AdmixtureMatrix,
@@ -107,16 +107,6 @@ MODEL_CLASS_ALIASES = {
 }
 
 
-def _check_bounds(model_class: str, k: int, m: int, n: int) -> None:
-    if k < 1 or m < 1 or n < 1:
-        raise DimensionBound("K, M, N must all be at least 1")
-    limit = {"anchorQ": min(m + 1, n), "anchorF": min(m, n), "unadmixed": n}[model_class]
-    if k > limit:
-        raise DimensionBound(
-            f"{model_class} requires K <= {limit} for M={m}, N={n}; got K={k}"
-        )
-
-
 def _sample_anchor_q(rng, k, m, n):
     f = rng.uniform(size=(m, k))
     q = rng.uniform(size=(k, n))
@@ -166,23 +156,23 @@ def generate_instance(
             f"unknown model class {model_class!r}; "
             f"expected one of {sorted(set(MODEL_CLASS_ALIASES))}"
         ) from None
-    _check_bounds(regime, k, m, n)
+    if k < 1 or m < 1 or n < 1:
+        raise DimensionBound("K, M, N must all be at least 1")
+    _, member, bound = _MODEL_CLASSES[regime]
+    limit = bound(m, n)
+    if k > limit:
+        raise DimensionBound(f"{regime} requires K <= {limit} for M={m}, N={n}; got K={k}")
     sampler = {
         "anchorQ": _sample_anchor_q,
         "anchorF": _sample_anchor_f,
         "unadmixed": _sample_unadmixed,
-    }[regime]
-    member_flag = {
-        "anchorQ": "member_anchor_q_model",
-        "anchorF": "member_anchor_f_model",
-        "unadmixed": "member_unadmixed_model",
     }[regime]
     rng = np.random.default_rng(seed)
     for _ in range(_GENERATION_ATTEMPTS):
         f_vals, q_vals = sampler(rng, k, m, n)
         pair = FactorPair(FrequencyMatrix(f_vals, tol), AdmixtureMatrix(q_vals, tol))
         report = classify(pair.F, pair.Q, tol)
-        if getattr(report, member_flag):
+        if getattr(report, member):
             return pair
     raise GenerationFailed(
         f"no {regime} member found in {_GENERATION_ATTEMPTS} attempts "

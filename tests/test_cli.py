@@ -185,6 +185,44 @@ def test_counterexample_precondition_exits_5(capsys, tmp_path):
     assert "NoDuplicateColumns" in err
 
 
+def test_counterexample_within_eq_tol_of_a_relabelling_exits_5(capsys, tmp_path):
+    f = write_csv(tmp_path / "F.csv", [[0.3, 0.5, 0.3], [0.5, 0.4, 0.2], [0.7, 0.6, 0.9]])
+    q = write_csv(tmp_path / "Q.csv", [[0.5, 0.2, 0.4], [0.3, 0.5, 0.3], [0.2, 0.3, 0.3]])
+    code, out, err = run(
+        capsys,
+        [
+            "counterexample", "--construction", "rotate_R_Q", "--f", f, "--q", q,
+            "--delta", "1e-9", "--out-dir", str(tmp_path / "cx"),
+        ],
+    )
+    assert (code, out) == (5, "")
+    assert err.startswith("error: PreconditionViolated: ") and "relabelling" in err
+    assert not (tmp_path / "cx").exists()
+
+
+RECOVER_HELP = """\
+usage: admixid recover [-h] --pi PATH
+                       [--regime {anchorQ,anchorF,unadmixed,auto}]
+                       [--out-dir DIR] [--output PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --pi PATH             expected frequency CSV
+  --regime {anchorQ,anchorF,unadmixed,auto}
+                        recovery regime (default auto)
+  --out-dir DIR         directory for F.csv and Q.csv (default .)
+  --output PATH         report destination (default stdout)
+"""
+
+
+def test_recover_help_lists_regimes_in_auto_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["recover", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == RECOVER_HELP
+
+
 def test_counterexample_delta_on_non_rotation_exits_5(capsys, tmp_path):
     f = write_csv(tmp_path / "F.csv", [[0.3, 0.3], [0.7, 0.7]])
     code, _, err = run(

@@ -356,3 +356,59 @@ def test_original_pair_is_preserved():
     assert isinstance(pair.original, FactorPair)
     assert pair.original.F is f
     assert pair.original.Q is q
+
+
+INTERIOR_Q3 = [[0.5, 0.2, 0.3, 0.4], [0.3, 0.5, 0.3, 0.3], [0.2, 0.3, 0.4, 0.3]]
+MID_F3 = [[0.3, 0.5, 0.3], [0.5, 0.4, 0.2], [0.7, 0.6, 0.9]]
+
+
+@pytest.mark.parametrize(
+    "construction, f_vals, q_vals, delta, k0",
+    [
+        # k0 given: column 0 admits delta 1e-9 only, so the rotation is 5e-10
+        (rotate_R_Q, [[1e-9, 0.5, 0.3], [0.5, 0.4, 0.2], [0.7, 0.6, 0.9]], INTERIOR_Q3, None, 0),
+        # auto: column 0 admits 2.5e-8 > eq_tol, and delta 1.25e-8 still moves
+        # no entry of F or Q by more than eq_tol
+        (rotate_R_Q, [[2.5e-8, 0, 0.3], [0.5, 0.4, 1], [0.7, 0.6, 0.9]], INTERIOR_Q3, None, None),
+        (rotate_R_Q, MID_F3, INTERIOR_Q3, 1e-9, None),
+        # Q's row 0 has minimum 1e-9
+        (rotate_R_F, MID_F3,
+         [[1e-9, 0.3, 0.5, 0.2], [0.6 - 1e-9, 0.3, 0.2, 0.5], [0.4, 0.4, 0.3, 0.3]], None, 0),
+    ],
+    ids=["k0-given", "auto", "delta-given", "rotate_R_F"],
+)
+def test_rotation_within_eq_tol_of_a_relabelling_is_refused(
+    construction, f_vals, q_vals, delta, k0
+):
+    with pytest.raises(PreconditionViolated, match="relabelling"):
+        construction(fmat(f_vals), qmat(q_vals), delta=delta, k0=k0)
+
+
+DEPENDENT_F3 = [[0.2, 0.6, 0.4], [0.3, 0.5, 0.4], [0.8, 0.2, 0.5]]
+ANCHOR_Q3 = np.column_stack([np.eye(3), [0.2, 0.3, 0.5]])
+ANCHOR_F3 = [[0.5, 0, 0], [0, 0.6, 0], [0, 0, 0.7], [0.3, 0.4, 0.5]]
+DEPENDENT_Q3 = np.column_stack([[0.2, 0.3, 0.5], [0.5, 0.3, 0.2]] * 2)
+
+
+INDEX_CASES = [
+    (perturb_interior_Q_column, DEPENDENT_F3, ANCHOR_Q3, {"column": 9}),
+    (perturb_F_row, ANCHOR_F3, DEPENDENT_Q3, {"row": 9}),
+    *[
+        (rot, MID_F3, INTERIOR_Q3, {"k0": k0})
+        for rot in (rotate_R_Q, rotate_R_F) for k0 in (3, 5, -1)
+    ],
+    (rotate_R_Q, MID_F3, INTERIOR_Q3, {"delta": 0.1, "k0": 3}),
+]
+
+
+@pytest.mark.parametrize(
+    "construction, f_vals, q_vals, kwargs",
+    INDEX_CASES,
+    ids=[f"{c[0].__name__}-{c[3]}" for c in INDEX_CASES],
+)
+def test_out_of_range_index_is_a_precondition_violation(construction, f_vals, q_vals, kwargs):
+    with pytest.raises(PreconditionViolated) as info:
+        construction(fmat(f_vals), qmat(q_vals), **kwargs)
+    index = [v for k, v in kwargs.items() if k != "delta"][0]
+    assert type(info.value) is PreconditionViolated
+    assert str(info.value).startswith(f"index {index} out of range for ")

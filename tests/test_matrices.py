@@ -66,6 +66,41 @@ def test_matrices_require_2d_finite():
         ExpectedFreqMatrix([[np.nan, 0.5]])
 
 
+MATRIX_TYPES = {
+    FrequencyMatrix: "frequency matrix",
+    AdmixtureMatrix: "admixture matrix",
+    ExpectedFreqMatrix: "expected frequency matrix",
+}
+BAD_VALUES = {
+    "not-2d": ([0.5, 0.5], DimensionMismatch, "{} must be 2-D, got ndim=1"),
+    "empty": (np.zeros((0, 2)), DimensionMismatch, "{} must have at least one row and column"),
+    "non-finite": ([[0.5, np.nan]], ValueError, "{} has non-finite entries"),
+    "outside-box": (
+        [[-0.25], [1.25]], ValueError,
+        "{} entries must lie in [0, 1] (within 1e-08); found range [-0.25, 1.25]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_VALUES)
+@pytest.mark.parametrize("cls", MATRIX_TYPES, ids=lambda cls: cls.__name__)
+def test_matrix_types_refuse_bad_values_with_fixed_messages(cls, case):
+    values, error, message = BAD_VALUES[case]
+    with pytest.raises(ValueError) as info:
+        cls(values)
+    assert info.type is error
+    assert str(info.value) == message.format(MATRIX_TYPES[cls])
+
+
+def test_admixture_column_sum_message():
+    with pytest.raises(ValueError) as info:
+        AdmixtureMatrix([[0.5, 0.5], [0.25, 0.5]])
+    assert info.type is ValueError
+    assert str(info.value) == "admixture matrix column 0 sums to 0.75, expected 1"
+    for cls in (FrequencyMatrix, ExpectedFreqMatrix):
+        assert cls([[0.5, 0.5], [0.25, 0.5]]).values.tolist() == [[0.5, 0.5], [0.25, 0.5]]
+
+
 def test_factor_pair_dimension_guard():
     F = FrequencyMatrix([[0.5, 0.5]])
     Q = AdmixtureMatrix(np.eye(3))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admixid import (
     AmbiguousAssignment,
@@ -188,3 +190,26 @@ def test_to_dict_reports_key_fields():
     assert data["K"] == 2
     assert data["residual"] <= 1e-9
     assert data["warnings"] == []
+
+
+RECOVER = {"anchorQ": recover_anchor_Q, "anchorF": recover_anchor_F, "unadmixed": recover_unadmixed}
+# least M for K populations: anchorQ needs K <= M + 1, anchorF K <= M
+MIN_LOCI = {"anchorQ": lambda k: max(k - 1, 1), "anchorF": lambda k: k, "unadmixed": lambda k: 1}
+
+
+@st.composite
+def members(draw, model_class):
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(MIN_LOCI[model_class](k), 39))
+    n = draw(st.integers(k, 39))
+    return generate_instance(model_class, k, m, n, draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("model_class", RECOVER)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_recovery_returns_the_planted_member(model_class, data):
+    pair = data.draw(members(model_class))
+    rec = RECOVER[model_class](pair.product())
+    assert rec.regime == model_class
+    assert are_equivalent(pair, rec.pair()).equivalent
