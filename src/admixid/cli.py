@@ -16,8 +16,6 @@ import numpy as np
 
 from . import counterexamples as cx
 from .conditions import classify
-from .cones import NotACone, ZeroVector
-from .convex import NotOpenCombination, UniqueDecomposition
 from .equivalence import are_equivalent
 from .matrices import (
     AdmixtureMatrix,
@@ -34,13 +32,7 @@ from .recovery import (
     recover_anchor_Q,
     recover_unadmixed,
 )
-from .simulate import (
-    DimensionBound,
-    EntryOutOfRange,
-    GenerationFailed,
-    generate_instance,
-    simulate_genotypes,
-)
+from .simulate import DimensionBound, GenerationFailed, generate_instance, simulate_genotypes
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -51,15 +43,7 @@ EXIT_PRECONDITION = 5
 
 _PARSE_ERRORS = (ParseError, ShapeError, FileNotFoundError, IsADirectoryError)
 _DIMENSION_ERRORS = (DimensionMismatch, DimensionBound)
-_PRECONDITION_ERRORS = (
-    cx.PreconditionViolated,
-    NotACone,
-    ZeroVector,
-    UniqueDecomposition,
-    NotOpenCombination,
-    EntryOutOfRange,
-    GenerationFailed,
-)
+_PRECONDITION_ERRORS = (cx.PreconditionViolated, GenerationFailed)
 
 # each regime's recover function, in the order --regime auto tries them; tuples,
 # as in _CONSTRUCTIONS, are where perfbench's tracer finds functions to wrap
@@ -290,9 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     except _DIMENSION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except RecoveryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RECOVERY
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -59,14 +59,16 @@ _MODEL_CLASSES = {
 
 
 def basis_distances(q: np.ndarray) -> np.ndarray:
-    """d[k, i] = max |q[:, i] - e_k|, the distance of each column to each e_k.
+    """d[k, i] = max |q[:, i] - e_k|, the distance of each column to each e_k."""
+    return max_abs_distances(np.eye(q.shape[0]), q.T)
 
-    Off row k that is the column's largest |entry|, or its second largest
-    where row k holds the largest; a zero row under the rest serves K = 1.
-    """
-    a = np.abs(q)
-    s = np.sort(np.vstack([np.zeros_like(a[:1]), a]), axis=0)
-    return np.maximum(np.abs(q - 1.0), np.where(a == s[-1], s[-2], s[-1]))
+
+def _unadmixed_columns(q: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's argmax population, and the columns farther than eq_tol
+    from that population's basis vector."""
+    nearest = q.argmax(axis=0)
+    off = np.flatnonzero(basis_distances(q)[nearest, np.arange(q.shape[1])] > tol.eq_tol)
+    return nearest, off
 
 
 def _first_true(hit: np.ndarray) -> list[int | None]:
@@ -113,11 +115,8 @@ def check_distinct_columns(F: FrequencyMatrix, tol: Tolerance = DEFAULT_TOL) -> 
 
 def check_unadmixed(Q: AdmixtureMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff every column of Q is a basis vector and every basis vector occurs."""
-    q = Q.values
-    k = q.argmax(axis=0)
-    if np.any(basis_distances(q)[k, np.arange(q.shape[1])] > tol.eq_tol):
-        return False
-    return np.unique(k).size == q.shape[0]
+    nearest, off = _unadmixed_columns(Q.values, tol)
+    return not off.size and np.unique(nearest).size == Q.n_pops
 
 
 @dataclass(frozen=True)

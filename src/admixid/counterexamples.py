@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import (
-    basis_distances,
+    _unadmixed_columns,
     check_anchor_F,
     check_anchor_Q,
     check_distinct_columns,
@@ -452,10 +452,8 @@ def unadmixed_missing_anchor(
     original = FactorPair(F, Q)
     if not check_distinct_columns(F, tol):
         raise PreconditionViolated("F columns must be pairwise distinct")
-    q = Q.values
     k_pops = Q.n_pops
-    nearest = q.argmax(axis=0)
-    off = np.flatnonzero(basis_distances(q)[nearest, np.arange(q.shape[1])] > tol.eq_tol)
+    nearest, off = _unadmixed_columns(Q.values, tol)
     if off.size:
         raise PreconditionViolated(f"Q column {off[0]} is not a basis vector")
     missing = np.setdiff1d(np.arange(k_pops), nearest)

@@ -41,15 +41,15 @@ class Tolerance:
 
     eq_tol governs entrywise equality (including the =0 / =1 tests behind
     anchor detection); rank_tol scales the singular-value cutoff in
-    numeric_rank. Both must be positive.
+    numeric_rank. Both must be finite and positive.
     """
 
     eq_tol: float = 1e-8
     rank_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.eq_tol > 0 and self.rank_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.eq_tol < np.inf and 0 < self.rank_tol < np.inf):
+            raise ValueError("tolerances must be finite and positive")
 
 
 DEFAULT_TOL = Tolerance()

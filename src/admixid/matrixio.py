@@ -31,7 +31,6 @@ def read_matrix(path) -> np.ndarray:
     line_nos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue
             row = []

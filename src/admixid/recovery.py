@@ -16,7 +16,7 @@ regime's image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,10 +80,7 @@ class RecoveredFactorization:
     Q: AdmixtureMatrix
     regime: str
     residual: float
-    warnings: list[str] | None = None
-
-    def __post_init__(self):
-        self.warnings = list(self.warnings or [])
+    warnings: list[str] = field(default_factory=list)
 
     @property
     def n_pops(self) -> int:
@@ -134,9 +131,14 @@ def _finalize(
     tol: Tolerance,
     warnings: list[str],
 ) -> RecoveredFactorization:
-    wide = Tolerance(eq_tol=10 * tol.eq_tol, rank_tol=tol.rank_tol)
-    F = FrequencyMatrix(f_vals, wide)
-    Q = AdmixtureMatrix(q_vals, wide)
+    # capped so that a huge finite eq_tol does not widen to an infinite one
+    wide = Tolerance(eq_tol=min(10 * tol.eq_tol, np.finfo(float).max), rank_tol=tol.rank_tol)
+    try:
+        F = FrequencyMatrix(f_vals, wide)
+        Q = AdmixtureMatrix(q_vals, wide)
+    except ValueError as exc:
+        # recovered factors outside the unit box: the input is outside the regime
+        raise RecoveryError(str(exc)) from None
     residual = max_abs(F.values @ Q.values - pi.values)
     if residual > 10 * tol.eq_tol:
         raise DecompositionInfeasible(
@@ -230,17 +232,15 @@ def recover_unadmixed(
     f_vals = p[:, reps]
     # match[k, i]: column i lies within eq_tol of representative k
     match = max_abs_distances(f_vals.T, p.T) <= tol.eq_tol
-    counts = match.sum(axis=0)
-    bad = np.flatnonzero(counts != 1)
-    if bad.size:
-        i = int(bad[0])
-        if counts[i] > 1:
-            raise AmbiguousAssignment(
-                f"column {i} matches recovered columns "
-                f"{np.flatnonzero(match[:, i]).tolist()}; "
-                "input columns are not distinct at eq_tol"
-            )
-        raise DecompositionInfeasible(f"column {i} matches no recovered column")
+    # every column matches at least its own representative, by the same test
+    ambiguous = np.flatnonzero(match.sum(axis=0) > 1)
+    if ambiguous.size:
+        i = int(ambiguous[0])
+        raise AmbiguousAssignment(
+            f"column {i} matches recovered columns "
+            f"{np.flatnonzero(match[:, i]).tolist()}; "
+            "input columns are not distinct at eq_tol"
+        )
     q_vals = match.astype(float)
     warnings = _near_duplicate_warnings(f_vals.T, "column", tol)
     return _finalize(pi, f_vals, q_vals, "unadmixed", tol, warnings)

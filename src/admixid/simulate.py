@@ -111,20 +111,15 @@ def _sample_anchor_q(rng, k, m, n):
     f = rng.uniform(size=(m, k))
     q = rng.uniform(size=(k, n))
     q /= q.sum(axis=0, keepdims=True)
-    anchor_at = rng.choice(n, size=k, replace=False)
-    for pop, i in enumerate(anchor_at):
-        q[:, i] = 0.0
-        q[pop, i] = 1.0
+    q[:, rng.choice(n, size=k, replace=False)] = np.eye(k)
     return f, q
 
 
 def _sample_anchor_f(rng, k, m, n):
     f = rng.uniform(size=(m, k))
     anchor_at = rng.choice(m, size=k, replace=False)
-    for pop, s in enumerate(anchor_at):
-        f[s] = 0.0
-        # anchors below 0.2 would leave thin numerical margins downstream
-        f[s, pop] = rng.uniform(0.2, 1.0)
+    # anchors below 0.2 would leave thin numerical margins downstream
+    f[anchor_at] = np.diag(rng.uniform(0.2, 1.0, size=k))
     q = rng.uniform(size=(k, n))
     q /= q.sum(axis=0, keepdims=True)
     return f, q

@@ -136,6 +136,61 @@ def test_recover_auto_total_failure_exits_4(capsys, tmp_path):
     assert "unadmixed:" in err
 
 
+# P = diag(1.2, 1, 1) Q: anchorF's recovered locus 0 would have frequency 1.2
+UNIT_BOX_LEAK_PI = np.diag([1.2, 1, 1]) @ [
+    [0.6, 0.2, 0.2, 0.5], [0.2, 0.6, 0.2, 0.1], [0.2, 0.2, 0.6, 0.4],
+]
+
+
+def test_recover_anchor_f_frequency_above_one_exits_4(capsys, tmp_path):
+    pi = write_csv(tmp_path / "pi.csv", UNIT_BOX_LEAK_PI)
+    code, out, err = run(
+        capsys, ["recover", "--pi", pi, "--regime", "anchorF", "--out-dir", str(tmp_path)]
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: anchorF: frequency matrix entries must lie in [0, 1]")
+
+
+def test_recover_auto_goes_on_past_an_anchor_f_unit_box_failure(capsys, tmp_path):
+    pi = write_csv(tmp_path / "pi.csv", UNIT_BOX_LEAK_PI)
+    code, out, _ = run(capsys, ["recover", "--pi", pi, "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    report = json.loads(out)
+    assert report["regime"] == "unadmixed"
+    assert report["K"] == 4
+
+
+def test_recover_anchor_f_zero_input_exits_4(capsys, tmp_path):
+    pi = write_csv(tmp_path / "pi.csv", np.zeros((3, 4)))
+    code, _, err = run(
+        capsys, ["recover", "--pi", pi, "--regime", "anchorF", "--out-dir", str(tmp_path)]
+    )
+    assert code == 4
+    assert "input is numerically zero" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--tol", "--rank-tol"])
+def test_tolerance_must_be_finite_and_positive(capsys, anchor_pair_files, flag, value):
+    f, q = anchor_pair_files
+    code, out, err = run(capsys, [flag, value, "check", "--f", f, "--q", q])
+    assert code == 2
+    assert out == ""
+    assert err == "error: tolerances must be finite and positive\n"
+
+
+def test_recover_keeps_a_huge_finite_tolerance(capsys, tmp_path):
+    # recovery validates its factors at 10x eq_tol, which overflows here
+    pi = write_csv(tmp_path / "pi.csv", [[1, 0, 0.3], [0, 1, 0.7], [0.5, 0.5, 0.5]])
+    code, _, _ = run(
+        capsys,
+        ["--tol", "1e308", "recover", "--pi", pi, "--regime", "anchorQ",
+         "--out-dir", str(tmp_path)],
+    )
+    assert code == 0
+
+
 def test_counterexample_rotation_with_delta(capsys, tmp_path):
     f = write_csv(tmp_path / "F.csv", [[1, 0.5], [0, 0.4], [1, 0.6]])
     q = write_csv(tmp_path / "Q.csv", np.eye(2))
@@ -330,6 +385,20 @@ def test_gen_dimension_bound_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert "requires K <=" in err
+
+
+def test_gen_without_a_member_to_find_exits_5(capsys, tmp_path):
+    # three values in [0, 1] are never pairwise more than 0.6 apart, so no
+    # draw of a one-locus F has distinct columns at this tolerance
+    code, _, err = run(
+        capsys,
+        [
+            "--tol", "0.6", "gen", "--class", "unadmixed", "--k", "3", "--m", "1",
+            "--n", "3", "--seed", "0", "--out-dir", str(tmp_path),
+        ],
+    )
+    assert code == 5
+    assert err.startswith("error: GenerationFailed: no unadmixed member found")
 
 
 def test_tolerance_flag_reaches_equivalence(capsys, tmp_path):

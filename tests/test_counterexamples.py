@@ -17,6 +17,7 @@ from admixid import (
     anchor_F_rows,
     anchor_Q_columns,
     are_equivalent,
+    generate_instance,
     necessity_F_rows,
     necessity_pq,
     perturb_F_row,
@@ -109,6 +110,14 @@ def test_perturb_interior_q_column_needs_interior_column():
         perturb_interior_Q_column(f, q)
 
 
+def test_perturb_interior_q_column_given_a_boundary_column():
+    # F's last column is the mean of the other two; Q's column 0 is an anchor
+    f = fmat([[0.2, 0.4, 0.3], [0.6, 0.2, 0.4], [0.1, 0.5, 0.3]])
+    q = qmat([[1, 0, 0, 0.3], [0, 1, 0, 0.3], [0, 0, 1, 0.4]])
+    with pytest.raises(PreconditionViolated, match="column 0 is not strictly positive"):
+        perturb_interior_Q_column(f, q, column=0)
+
+
 def test_rotate_r_q_worked():
     f = fmat([[1, 0.5], [0, 0.4], [1, 0.6]])
     q = qmat(np.eye(2))
@@ -130,6 +139,17 @@ def test_rotate_r_q_no_bounded_column():
     # every column of the identity touches 0 and 1
     with pytest.raises(NoBoundedColumn):
         rotate_R_Q(fmat(np.eye(2)), qmat(np.eye(2)), delta=0.25)
+
+
+def test_rotate_r_q_delta_above_the_given_columns_bound():
+    pair = generate_instance("anchorQ", 3, 20, 15, 1)
+    with pytest.raises(NoBoundedColumn, match=r"column 0 only admits delta <= 0\.0275591"):
+        rotate_R_Q(pair.F, pair.Q, delta=0.45, k0=0)
+
+
+def test_rotation_matrices_q_k0_out_of_range():
+    with pytest.raises(PreconditionViolated, match="k0=3 out of range"):
+        rotation_matrices_Q(3, 3, 0.1)
 
 
 def test_rotate_r_q_auto_delta_halves_feasible():

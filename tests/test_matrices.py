@@ -29,6 +29,13 @@ def test_tolerance_rejects_nonpositive(kwargs):
         Tolerance(**kwargs)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("name", ["eq_tol", "rank_tol"])
+def test_tolerance_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Tolerance(**{name: value})
+
+
 def test_frequency_matrix_validates_box():
     with pytest.raises(ValueError):
         FrequencyMatrix([[0.5, 1.5], [0.2, 0.3]])

@@ -12,6 +12,7 @@ from admixid import (
     FactorPair,
     FrequencyMatrix,
     NonUniqueDecomposition,
+    RecoveryError,
     ScalingInfeasible,
     are_equivalent,
     classify,
@@ -98,6 +99,21 @@ def test_anchor_f_scaling_infeasible():
     # is eps = (3, -4): no positive rescaling is column-stochastic
     with pytest.raises(ScalingInfeasible):
         recover_anchor_F(pi_of([[1.0, 0.6], [0.5, 0.2]]))
+
+
+def test_anchor_f_dependent_rays_not_unique():
+    # four extreme rays in three dimensions
+    rows = [[0.5, 0, 0.5], [0, 0.5, 0.5], [0.5, 0.5, 0], [0.2, 0.2, 0.6]]
+    with pytest.raises(NonUniqueDecomposition, match="4 extreme rays are linearly dependent"):
+        recover_anchor_F(pi_of(rows))
+
+
+def test_anchor_f_frequency_above_one_is_a_recovery_error():
+    # the rays of P = diag(1.2, 1, 1) Q are Q's rows, so locus 0's weight
+    # comes out 1.2, outside a frequency matrix's unit box
+    q = [[0.6, 0.2, 0.2, 0.5], [0.2, 0.6, 0.2, 0.1], [0.2, 0.2, 0.6, 0.4]]
+    with pytest.raises(RecoveryError, match=r"frequency matrix entries must lie in \[0, 1\]"):
+        recover_anchor_F(pi_of(np.diag([1.2, 1, 1]) @ q))
 
 
 def test_unadmixed_worked_example():
