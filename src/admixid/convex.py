@@ -8,6 +8,15 @@ every strictly positive ("open") decomposition can be shifted along a null
 direction into a second valid one. The greedy column sweep below reduces a
 finite set to its extreme points, the unique minimal generating subset.
 
+The sweep makes one solve per column. The successive projection algorithm
+(SPA; Gillis & Vavasis 2014, Arora et al. 2012) is the fast way to the same
+points: with a row of ones appended, so that convex structure becomes linear,
+it repeatedly takes the column of largest residual norm and projects it out.
+In exact arithmetic each pick is a vertex of the hull, and the picks are all
+of them when every column decomposes over them. Its picks are only a
+candidate set: recovery certifies them by decomposing every column over them
+and falls back to the sweep wherever that certificate cannot decide.
+
 The nonnegative least-squares solves run in coordinates: the sweep in the
 column coordinates of the thin SVD of the columns left after near-duplicates
 are collapsed (r rows, r their rank above roundoff), a decomposition in an
@@ -71,12 +80,16 @@ def nonneg_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     its x is certified by the KKT conditions: with g = a.T @ (a @ x - b),
     |g_i| <= gtol where x_i > 0 and g_i >= -gtol where x_i = 0, for gtol =
     1e-12 max|a| (max|a| sum(x) + max|b|). An x that fails them is redone by
-    the exact BVLS solver and the better of the two kept. With no columns the
-    weights are empty (nnls would abort the interpreter).
+    the exact BVLS solver and the better of the two kept. nnls stopped by its
+    iteration cap counts as x = 0. With no columns the weights are empty
+    (nnls would abort the interpreter).
     """
     if a.shape[1] == 0:
         return np.zeros(0)
-    x, _ = nnls(a, b)
+    try:
+        x, _ = nnls(a, b)
+    except RuntimeError:
+        x = np.zeros(a.shape[1])
     g = a.T @ (a @ x - b)
     gtol = 1e-12 * max_abs(a) * (max_abs(a) * x.sum() + max_abs(b))
     if np.all(np.where(x > 0, np.abs(g), -g) <= gtol):
@@ -87,28 +100,33 @@ def nonneg_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _weights(coords, target_coords, points, cols, target, tol: Tolerance, unit_sum):
-    """Nonnegative weights of target over the columns points[:, cols], or None.
+def _lifted(a: np.ndarray) -> np.ndarray:
+    """a with a row of ones appended: convex combinations of its columns become linear."""
+    return np.vstack([a, np.ones((1, a.shape[1]))])
+
+
+def _fit(coords, target_coords, points, cols, target, unit_sum):
+    """Nonnegative weights of target over the columns points[:, cols], and their misfit.
 
     coords and target_coords are the generators and the target in orthonormal
     coordinates of a subspace holding the generators; unit_sum adds the
-    convex row. Acceptance is the original-space max-abs residual, built from
-    the columns with nonzero weight only.
+    convex row. The misfit is the original-space max-abs residual, built from
+    the columns with nonzero weight only, or with unit_sum the distance of
+    the weight sum from 1 where that is larger; eq_tol bounds both.
     """
     if unit_sum:
-        coords = np.vstack([coords, np.ones((1, coords.shape[1]))])
+        coords = _lifted(coords)
         target_coords = np.append(target_coords, 1.0)
     w = nonneg_lstsq(coords, target_coords)
     nz = np.flatnonzero(w)
-    if max_abs(points[:, cols[nz]] @ w[nz] - target) > tol.eq_tol:
-        return None
-    if unit_sum and abs(w.sum() - 1.0) > tol.eq_tol:
-        return None
-    return w
+    misfit = max_abs(points[:, cols[nz]] @ w[nz] - target)
+    if unit_sum:
+        misfit = max(misfit, abs(w.sum() - 1.0))
+    return w, misfit
 
 
-def _decompositions(targets, generators, tol: Tolerance, unit_sum: bool):
-    """Yields _weights of each column of targets over the generator columns.
+def _decompositions(targets, generators, unit_sum: bool):
+    """Yields _fit of each column of targets over the generator columns.
 
     Both are taken to coordinates in one orthonormal basis of the generators'
     span, so a loop over many targets pays for one QR.
@@ -117,17 +135,18 @@ def _decompositions(targets, generators, tol: Tolerance, unit_sum: bool):
     t_coords = basis.T @ targets
     cols = np.arange(generators.shape[1])
     for t, target in zip(t_coords.T, targets.T):
-        yield _weights(g_coords, t, generators, cols, target, tol, unit_sum)
+        yield _fit(g_coords, t, generators, cols, target, unit_sum)
 
 
 def _decompose(target, generators: np.ndarray, tol: Tolerance, unit_sum: bool):
-    """_weights of one target over the generator columns, after a dimension check."""
+    """Weights of one target over the generator columns, None past eq_tol."""
     v = np.asarray(target, dtype=float).ravel()
     if v.shape[0] != generators.shape[0]:
         raise DimensionMismatch(
             f"target has dimension {v.shape[0]} but generators have {generators.shape[0]}"
         )
-    return next(_decompositions(v[:, None], generators, tol, unit_sum))
+    w, misfit = next(_decompositions(v[:, None], generators, unit_sum))
+    return w if misfit <= tol.eq_tol else None
 
 
 def convex_decompose(
@@ -234,9 +253,9 @@ def _sweep(points, kept: list[int], scan_order, tol: Tolerance, unit_sum) -> lis
             continue
         alive[j] = False
         others = np.flatnonzero(alive)
-        if not others.size or _weights(
-            coords[:, others], coords[:, j], points, others, points[:, j], tol, unit_sum
-        ) is None:
+        if not others.size or _fit(
+            coords[:, others], coords[:, j], points, others, points[:, j], unit_sum
+        )[1] > tol.eq_tol:
             alive[j] = True
     return np.flatnonzero(alive).tolist()
 
@@ -254,6 +273,35 @@ def minimal_generating_columns(
     """
     p = _columns(points)
     return _sweep(p, first_distinct_rows(p.T, tol), scan_order, tol, unit_sum=True)
+
+
+def _successive_projection(points, tol: Tolerance):
+    """SPA over the distinct columns: (reps, picks, rho).
+
+    reps are the first-occurrence indices of minimal_generating_columns'
+    duplicate scan, picks the sorted indices of the columns SPA takes among
+    them, and rho the largest residual norm it leaves. The columns are lifted
+    by a row of ones; each step takes the column of largest residual norm and
+    projects it out of all of them, until that norm is at most eq_tol (norms,
+    not their squares, which overflow for a huge eq_tol). The first pick is
+    always taken, and there are never more picks than the rank of the lifted
+    columns allows.
+    """
+    p = _columns(points)
+    reps = np.asarray(first_distinct_rows(p.T, tol))
+    resid = _lifted(p[:, reps])
+    norms = np.linalg.norm(resid, axis=0)
+    picks: list[int] = []
+    while len(picks) < min(resid.shape):
+        j = int(np.argmax(norms))
+        if picks and norms[j] <= tol.eq_tol:
+            break
+        u = resid[:, j] / norms[j]
+        resid -= np.outer(u, u @ resid)
+        picks.append(j)
+        norms = np.linalg.norm(resid, axis=0)
+        norms[picks] = 0.0
+    return reps.tolist(), sorted(reps[picks].tolist()), float(norms.max())
 
 
 def is_extreme_point(index: int, points, tol: Tolerance = DEFAULT_TOL) -> bool:

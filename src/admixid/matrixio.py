@@ -33,15 +33,18 @@ def read_matrix(path) -> np.ndarray:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = []
-            for col_no, cell in enumerate(line.split(","), start=1):
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"cannot parse {cell.strip()!r} as a number", line_no, col_no
-                    ) from None
-            rows.append(row)
+            cells = line.split(",")
+            try:
+                rows.append(list(map(float, cells)))
+            except ValueError:
+                # rescan the failed line for the position of its first bad cell
+                for col_no, cell in enumerate(cells, start=1):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"cannot parse {cell.strip()!r} as a number", line_no, col_no
+                        ) from None
             line_nos.append(line_no)
     if not rows:
         raise ShapeError(f"{path}: no rows found")

@@ -23,8 +23,11 @@ import numpy as np
 from .conditions import _MODEL_CLASSES, classify
 from .convex import (
     _decompositions,
+    _lifted,
+    _successive_projection,
     has_unique_decompositions,
     minimal_generating_columns,
+    nonneg_lstsq,
 )
 from .cones import has_unique_conic_decompositions, minimal_conic_generating_rows
 from .matrices import (
@@ -116,8 +119,8 @@ def _weights_of(targets, generators, tol: Tolerance, unit_sum: bool, failure: st
     failure.format(i) is the DecompositionInfeasible text for target i.
     """
     weights = np.empty((targets.shape[1], generators.shape[1]))
-    for i, w in enumerate(_decompositions(targets, generators, tol, unit_sum)):
-        if w is None:
+    for i, (w, misfit) in enumerate(_decompositions(targets, generators, unit_sum)):
+        if misfit > tol.eq_tol:
             raise DecompositionInfeasible(failure.format(i))
         weights[i] = w
     return weights
@@ -154,27 +157,92 @@ def _finalize(
     return RecoveredFactorization(F, Q, regime, residual, warnings)
 
 
+def _anchor_Q_by_projection(p: np.ndarray, tol: Tolerance):
+    """(F, Q) values from SPA's picks, or None where the certificate cannot decide.
+
+    The picks are the sweep's extreme columns, and the decompositions over
+    them its Q, when every sweep step must decide as the certificate does:
+
+    * the picks are affinely independent;
+    * each pick lies more than sqrt(M+1) eq_tol (doubled, for solver slack)
+      from the cone of the other distinct columns, all lifted by a row of
+      ones, so no sweep step can drop it;
+    * every column decomposes over the picks;
+    * each other distinct column does so within eq_tol/2 in the lifted
+      Euclidean norm, so every sweep step drops it.
+
+    A column more than 10x eq_tol outside the picks' hull, with the residual
+    SPA leaves below the rank cutoff, means more than K extreme columns in
+    the K-1 dimensions the K picks span: the sweep would find them affinely
+    dependent, and this raises the same NonUniqueDecomposition.
+    """
+    reps, picks, rho = _successive_projection(p, tol)
+    f_vals = p[:, picks]
+    k_pops = len(picks)
+    if not has_unique_decompositions(f_vals, tol):
+        return None
+    # the distinct columns in an orthonormal basis of the lifted picks' span;
+    # a projection shortens every distance, so these are lower bounds
+    basis, _ = np.linalg.qr(_lifted(f_vals))
+    coords = basis.T @ _lifted(p[:, reps])
+    for j in np.searchsorted(reps, picks):
+        others = np.delete(coords, j, axis=1)
+        gap = np.linalg.norm(others @ nonneg_lstsq(others, coords[:, j]) - coords[:, j])
+        if not gap > 2 * (p.shape[0] + 1) ** 0.5 * tol.eq_tol:
+            return None
+    q_vals = np.empty((k_pops, p.shape[1]))
+    for i, (w, misfit) in enumerate(_decompositions(p, f_vals, True)):
+        if misfit <= tol.eq_tol:
+            q_vals[:, i] = w
+            continue
+        # a lower bound on the largest difference of the sweep's extreme
+        # columns; rho under a tenth of rank_tol times it keeps their K-th
+        # singular value under numeric_rank's cutoff
+        spread = max_abs_distances(f_vals.T, f_vals.T).max() - 2 * tol.eq_tol
+        if misfit > 10 * tol.eq_tol and rho <= tol.rank_tol * spread / 10:
+            raise NonUniqueDecomposition(
+                f"column {i} lies outside the hull of {k_pops} affinely independent "
+                f"extreme columns that span the input; the input has more than {k_pops} "
+                "extreme columns, so decompositions over them are not unique"
+            )
+        return None
+    inside = np.setdiff1d(reps, picks)
+    lifted_gap = np.hypot(
+        np.linalg.norm(f_vals @ q_vals[:, inside] - p[:, inside], axis=0),
+        q_vals[:, inside].sum(axis=0) - 1.0,
+    )
+    if (lifted_gap > tol.eq_tol / 2).any():
+        return None
+    return f_vals, q_vals
+
+
 def recover_anchor_Q(
     pi: ExpectedFreqMatrix, tol: Tolerance = DEFAULT_TOL
 ) -> RecoveredFactorization:
     """Recover (F, Q) assuming anchor individuals and independent F columns.
 
-    F's columns are found as the minimal generating subset of P's columns in
-    first-occurrence order; every column of P is then decomposed over them.
-    Raises NonUniqueDecomposition when the extreme columns fail independence
-    and DecompositionInfeasible when a column will not decompose.
+    F's columns are the minimal generating subset of P's columns in
+    first-occurrence order, and Q holds the decompositions of P's columns
+    over them. They are found by the successive projection algorithm and
+    certified by that one decomposition pass; where the certificate cannot
+    decide, the full sweep (minimal_generating_columns) finds them and a
+    second pass decomposes. Raises NonUniqueDecomposition when the extreme
+    columns fail independence and DecompositionInfeasible when a column will
+    not decompose.
     """
     p = pi.values
-    kept = minimal_generating_columns(p, tol)
-    f_vals = p[:, kept]
-    k_pops = len(kept)
-    if not has_unique_decompositions(f_vals, tol):
-        raise NonUniqueDecomposition(
-            f"{k_pops} extreme columns are affinely dependent; "
-            "decompositions over them are not unique"
-        )
-    q_vals = _weights_of(p, f_vals, tol, True, "column {} is not a convex "
-                         "combination of the extreme columns").T.copy()
+    certified = _anchor_Q_by_projection(p, tol)
+    if certified is not None:
+        f_vals, q_vals = certified
+    else:
+        f_vals = p[:, minimal_generating_columns(p, tol)]
+        if not has_unique_decompositions(f_vals, tol):
+            raise NonUniqueDecomposition(
+                f"{f_vals.shape[1]} extreme columns are affinely dependent; "
+                "decompositions over them are not unique"
+            )
+        q_vals = _weights_of(p, f_vals, tol, True, "column {} is not a convex "
+                             "combination of the extreme columns").T.copy()
     warnings = _near_duplicate_warnings(f_vals.T, "column", tol)
     return _finalize(pi, f_vals, q_vals, "anchorQ", tol, warnings)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,19 @@ import numpy as np
 import pytest
 
 import admixid
-from admixid import generate_instance, read_matrix, write_matrix
+from admixid import (
+    AdmixtureMatrix,
+    FactorPair,
+    FrequencyMatrix,
+    Tolerance,
+    are_equivalent,
+    convex_decompose,
+    generate_instance,
+    read_matrix,
+    write_matrix,
+)
 from admixid.cli import main
+from admixid.convex import _successive_projection
 
 
 def write_csv(path, values):
@@ -437,6 +449,27 @@ def test_recover_auto_keeps_a_tiny_locus_in_anchor_f(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert (report["regime"], report["K"]) == ("anchorF", 3)
+
+
+def test_recover_anchor_q_names_a_column_outside_the_hull(capsys, tmp_path):
+    # an anchorF member's columns have more than K extreme points, so the
+    # anchorQ attempt is refused by the first column outside the picks' hull
+    pair = generate_instance("anchorF", 3, 20, 15, 7)
+    p = pair.F.values @ pair.Q.values
+    pi = write_csv(tmp_path / "P.csv", p)
+    code, _, err = run(capsys, ["recover", "--pi", pi, "--regime", "anchorQ",
+                                "--out-dir", str(tmp_path / "rec_q")])
+    assert code == 4
+    named = re.search(r"anchorQ: column (\d+) lies outside the hull of 3 affinely", err)
+    assert named, err
+    picks = _successive_projection(p, Tolerance())[1]
+    assert convex_decompose(p[:, int(named.group(1))], p[:, picks]) is None
+    code, out, _ = run(capsys, ["recover", "--pi", pi, "--out-dir", str(tmp_path / "rec")])
+    assert code == 0
+    assert json.loads(out)["regime"] == "anchorF"
+    rec = FactorPair(FrequencyMatrix(read_matrix(tmp_path / "rec" / "F.csv")),
+                     AdmixtureMatrix(read_matrix(tmp_path / "rec" / "Q.csv")))
+    assert are_equivalent(rec, pair).equivalent
 
 
 def missing_anchor_input(tmp_path):

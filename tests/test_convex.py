@@ -71,6 +71,24 @@ def test_nonneg_lstsq_keeps_a_certified_answer_with_a_residual(monkeypatch):
     assert max_abs(x - [0.0, 0.5]) < 1e-12
 
 
+def test_nonneg_lstsq_survives_the_nnls_iteration_cap():
+    # a convex solve of the recovery sweep (QR coordinates plus the unit-sum
+    # row) whose target is generator 1 up to roundoff; scipy 1.17's nnls
+    # raises "Maximum number of iterations reached" on it
+    a = np.array([
+        [-1.1022650506794833, -1.1089671922023996, -1.0568727902686168,
+         -1.015864670048779, -1.2172573305512842],
+        [0.0, 1.1416320151007247, 1.0590478641848544, 1.1089313277985642, 1.406171121281898],
+        [0.0, 0.0, 0.5217394781323237, 0.08506267526176679, -0.4029481096699608],
+        [0.0, 0.0, 0.0, 0.424274194584088, -0.3358098434290755],
+        [0.0, 0.0, 0.0, 0.0, 3.7915305522203733e-08],
+        [1.0, 1.0, 1.0, 1.0, 1.0],
+    ])
+    b = np.array([-1.1089671922023994, 1.1416320151007242, -1.0874952778442754e-16,
+                  -1.5088802810460263e-16, -7.980048820973396e-17, 1.0])
+    assert max_abs(nonneg_lstsq(a, b) - [0.0, 1.0, 0.0, 0.0, 0.0]) < 1e-12
+
+
 def test_decompose_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         convex_decompose([0.5, 0.5, 0.5], np.eye(2))

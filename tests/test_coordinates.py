@@ -2,12 +2,13 @@
 
 The oracles below are the pairwise loops and full-space solves the library
 used before its sweeps moved to span coordinates; every property asserts
-that the library returns the same indices.
+that the library returns the same indices. recover_anchor_Q, which finds its
+extreme columns by successive projection, is held to its sweep path.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admixid import (
@@ -21,8 +22,14 @@ from admixid import (
     recover_anchor_Q,
 )
 from admixid.conditions import anchor_Q_columns
-from admixid.convex import nonneg_lstsq
+from admixid.convex import has_unique_decompositions, nonneg_lstsq
 from admixid.matrices import first_distinct_rows, span_svd
+from admixid.recovery import (
+    NonUniqueDecomposition,
+    RecoveryError,
+    _finalize,
+    _weights_of,
+)
 
 TOL = Tolerance()
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -68,6 +75,16 @@ def oracle_minimal_columns(p, tol):
 
 def oracle_minimal_rows(r, tol):
     return oracle_sweep(r.T, oracle_distinct(r, tol, scaled=True), tol, unit_sum=False)
+
+
+def oracle_recover_anchor_Q(pi, tol):
+    """recover_anchor_Q by the sweep alone: extreme columns, independence, one pass."""
+    p = pi.values
+    f_vals = p[:, minimal_generating_columns(p, tol)]
+    if not has_unique_decompositions(f_vals, tol):
+        raise NonUniqueDecomposition("extreme columns are affinely dependent")
+    q_vals = _weights_of(p, f_vals, tol, True, "column {} does not decompose").T.copy()
+    return _finalize(pi, f_vals, q_vals, "anchorQ", tol, [])
 
 
 # ---- inputs ----------------------------------------------------------------
@@ -173,6 +190,33 @@ def test_minimal_rows_match_full_space_oracle(seed, size, sigma, gap, copies):
     if sigma:
         assert span_svd(p)[1].size == min(p.shape)
     assert minimal_conic_generating_rows(p, TOL) == oracle_minimal_rows(p, TOL)
+
+
+def recovery_outcome(recover, pi):
+    """The F and Q bytes of a recovery, or the class of the error it raised."""
+    try:
+        rec = recover(pi, TOL)
+    except RecoveryError as exc:
+        return type(exc)
+    return rec.F.values.tobytes(), rec.Q.values.tobytes()
+
+
+@settings(PROPERTY, max_examples=150)
+@given(seed=seeds, size=sizes, anchors=st.booleans(), sigma=noise, gap=gaps,
+       copies=st.integers(0, 4))
+# a near-duplicate of a pick that the sweep keeps in its place
+@example(seed=1000161, size=(4, 13, 16), anchors=True, sigma=0.0, gap=0.5, copies=1)
+# a column just outside the picks' hull, where the sweep finds a dependent set
+@example(seed=1000133, size=(3, 25, 2), anchors=True, sigma=0.0, gap=0.5, copies=4)
+def test_recover_anchor_Q_matches_the_sweep(seed, size, anchors, sigma, gap, copies):
+    # anchorQ members, and anchorF members (whose hull has more than K
+    # vertices), with near-duplicate columns and noise
+    k, m, n = size
+    rng = np.random.default_rng(seed)
+    p = low_rank_product(rng, k, max(m, k), max(n, k), anchors)
+    p = planted_duplicates(rng, p.T, copies, gap * TOL.eq_tol, False).T
+    pi = ExpectedFreqMatrix(np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, 1.0))
+    assert recovery_outcome(recover_anchor_Q, pi) == recovery_outcome(oracle_recover_anchor_Q, pi)
 
 
 def test_span_svd_cuts_at_roundoff():

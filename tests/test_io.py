@@ -47,6 +47,25 @@ def test_parse_error_mid_row(tmp_path):
     assert exc.value.column == 2
 
 
+def test_parse_error_mid_row_after_blank_lines(tmp_path):
+    p = tmp_path / "m.csv"
+    # the two blank lines count towards the line number
+    p.write_text("0.5,0.5,0.5,0.5\n\n\n0.5,0.25,1e-3x,0.5\n")
+    with pytest.raises(ParseError) as exc:
+        read_matrix(p)
+    assert (exc.value.line, exc.value.column) == (4, 3)
+    assert "'1e-3x'" in str(exc.value)
+
+
+def test_cells_parse_exactly_as_float(tmp_path):
+    cells = [" 0.1 ", "\t2.5e-3", "1_000", "  -0.0", "0.30000000000000004"]
+    p = tmp_path / "m.csv"
+    p.write_bytes((",".join(cells) + "\r\n" + ",".join(reversed(cells)) + "\r\n").encode())
+    out = read_matrix(p)
+    want = np.array([[float(c) for c in cells], [float(c) for c in reversed(cells)]])
+    assert out.tobytes() == want.tobytes()
+
+
 def test_ragged_rows_rejected(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,2\n3\n")
