@@ -14,6 +14,10 @@ decomposition in an orthonormal basis of its generators' span. The
 minimizer is the full-space one and each solve has r rows instead of one per
 entry. Acceptance stays the max-abs residual against eq_tol in the original
 space, where eq_tol is defined; coordinates keep Euclidean lengths only.
+
+The sweep makes one solve per row. Scaled to unit sum, nonnegative rows have
+the extreme rays as the vertices of their hull, where convex's SPA finds them;
+recovery certifies its picks and sweeps only where the certificate cannot.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ The sweep makes one solve per column. The successive projection algorithm
 points: with a row of ones appended, so that convex structure becomes linear,
 it repeatedly takes the column of largest residual norm and projects it out.
 In exact arithmetic each pick is a vertex of the hull, and the picks are all
-of them when every column decomposes over them. Its picks are only a
-candidate set: recovery certifies them by decomposing every column over them
-and falls back to the sweep wherever that certificate cannot decide.
+of them when every column decomposes over them; scaled to unit sum instead,
+nonnegative columns give the extreme rays of their cone (see cones). The
+picks are only a candidate set: recovery certifies them with the pass that
+decomposes over them and falls back to the sweep where that cannot decide.
 
 The nonnegative least-squares solves run in coordinates: the sweep in the
 column coordinates of the thin SVD of the columns left after near-duplicates
@@ -91,7 +92,8 @@ def nonneg_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     except RuntimeError:
         x = np.zeros(a.shape[1])
     g = a.T @ (a @ x - b)
-    gtol = 1e-12 * max_abs(a) * (max_abs(a) * x.sum() + max_abs(b))
+    scale = max_abs(a)
+    gtol = 1e-12 * scale * (scale * x.sum() + max_abs(b))
     if np.all(np.where(x > 0, np.abs(g), -g) <= gtol):
         return x
     redo = lsq_linear(a, b, bounds=(0.0, np.inf), method="bvls")
@@ -275,21 +277,21 @@ def minimal_generating_columns(
     return _sweep(p, first_distinct_rows(p.T, tol), scan_order, tol, unit_sum=True)
 
 
-def _successive_projection(points, tol: Tolerance):
+def _successive_projection(points, tol: Tolerance, conic: bool = False):
     """SPA over the distinct columns: (reps, picks, rho).
 
-    reps are the first-occurrence indices of minimal_generating_columns'
-    duplicate scan, picks the sorted indices of the columns SPA takes among
-    them, and rho the largest residual norm it leaves. The columns are lifted
-    by a row of ones; each step takes the column of largest residual norm and
-    projects it out of all of them, until that norm is at most eq_tol (norms,
-    not their squares, which overflow for a huge eq_tol). The first pick is
-    always taken, and there are never more picks than the rank of the lifted
-    columns allows.
+    reps are the first-occurrence indices of the sweep's duplicate scan
+    (scaled with conic), picks the sorted indices of the columns SPA takes
+    among them, and rho the largest residual norm it leaves. The columns are
+    lifted by a row of ones, or with conic (nonnegative, nonzero) scaled to
+    unit sum; each step takes the column of largest residual norm and
+    projects it out of all, until that norm is at most eq_tol (norms, not
+    squares, which overflow for a huge eq_tol). The first pick is always
+    taken, and never more picks than the rank of the candidates allows.
     """
     p = _columns(points)
-    reps = np.asarray(first_distinct_rows(p.T, tol))
-    resid = _lifted(p[:, reps])
+    reps = np.asarray(first_distinct_rows(p.T, tol, scaled=conic))
+    resid = p[:, reps] / p[:, reps].sum(axis=0) if conic else _lifted(p[:, reps])
     norms = np.linalg.norm(resid, axis=0)
     picks: list[int] = []
     while len(picks) < min(resid.shape):

@@ -157,6 +157,21 @@ def _finalize(
     return RecoveredFactorization(F, Q, regime, residual, warnings)
 
 
+def _picks_stand_clear(points, reps, picks, tol: Tolerance) -> bool:
+    """True iff each pick column of points lies more than 2 sqrt(d) eq_tol
+    (d its length, 2 for solver slack) from the cone of the other columns
+    among reps, so no sweep step can drop it. The distances are taken in the
+    picks' span: a projection shortens them, so these are lower bounds."""
+    basis, _ = np.linalg.qr(points[:, picks])
+    coords = basis.T @ points[:, reps]
+    for j in np.searchsorted(reps, picks):
+        others = np.delete(coords, j, axis=1)
+        gap = np.linalg.norm(others @ nonneg_lstsq(others, coords[:, j]) - coords[:, j])
+        if not gap > 2 * points.shape[0] ** 0.5 * tol.eq_tol:
+            return False
+    return True
+
+
 def _anchor_Q_by_projection(p: np.ndarray, tol: Tolerance):
     """(F, Q) values from SPA's picks, or None where the certificate cannot decide.
 
@@ -164,9 +179,8 @@ def _anchor_Q_by_projection(p: np.ndarray, tol: Tolerance):
     them its Q, when every sweep step must decide as the certificate does:
 
     * the picks are affinely independent;
-    * each pick lies more than sqrt(M+1) eq_tol (doubled, for solver slack)
-      from the cone of the other distinct columns, all lifted by a row of
-      ones, so no sweep step can drop it;
+    * each pick stands clear of the other distinct columns, all lifted by a
+      row of ones, so no sweep step can drop it (_picks_stand_clear);
     * every column decomposes over the picks;
     * each other distinct column does so within eq_tol/2 in the lifted
       Euclidean norm, so every sweep step drops it.
@@ -179,17 +193,9 @@ def _anchor_Q_by_projection(p: np.ndarray, tol: Tolerance):
     reps, picks, rho = _successive_projection(p, tol)
     f_vals = p[:, picks]
     k_pops = len(picks)
-    if not has_unique_decompositions(f_vals, tol):
+    if not (has_unique_decompositions(f_vals, tol)
+            and _picks_stand_clear(_lifted(p), reps, picks, tol)):
         return None
-    # the distinct columns in an orthonormal basis of the lifted picks' span;
-    # a projection shortens every distance, so these are lower bounds
-    basis, _ = np.linalg.qr(_lifted(f_vals))
-    coords = basis.T @ _lifted(p[:, reps])
-    for j in np.searchsorted(reps, picks):
-        others = np.delete(coords, j, axis=1)
-        gap = np.linalg.norm(others @ nonneg_lstsq(others, coords[:, j]) - coords[:, j])
-        if not gap > 2 * (p.shape[0] + 1) ** 0.5 * tol.eq_tol:
-            return None
     q_vals = np.empty((k_pops, p.shape[1]))
     for i, (w, misfit) in enumerate(_decompositions(p, f_vals, True)):
         if misfit <= tol.eq_tol:
@@ -247,6 +253,49 @@ def recover_anchor_Q(
     return _finalize(pi, f_vals, q_vals, "anchorQ", tol, warnings)
 
 
+def _anchor_F_from(p: np.ndarray, kept, tol: Tolerance):
+    """(F, Q, warnings) with P's rows kept as the rays, which must be independent;
+    eps @ rays = all-ones scales them so Q's columns sum to 1, and F holds conic weights."""
+    rays = p[kept]
+    if not has_unique_conic_decompositions(rays, tol):
+        raise NonUniqueDecomposition(f"{len(kept)} extreme rays are linearly dependent; "
+                                     "decompositions over them are not unique")
+    eps, *_ = np.linalg.lstsq(rays.T, np.ones(p.shape[1]), rcond=None)
+    if max_abs(eps @ rays - 1.0) > tol.eq_tol:
+        raise ScalingInfeasible(
+            "no ray scaling gives unit column sums; input is outside the regime"
+        )
+    if eps.min() <= tol.eq_tol:
+        raise ScalingInfeasible(f"column-sum scaling has a nonpositive weight {eps.min():.3g}")
+    q_vals = eps[:, None] * rays
+    f_vals = _weights_of(p.T, q_vals.T, tol, False, "row {} is not a nonnegative "
+                         "combination of the recovered rows")
+    return f_vals, q_vals, _near_duplicate_warnings(rays, "ray", tol)
+
+
+def _anchor_F_by_projection(p: np.ndarray, nonzero: np.ndarray, tol: Tolerance):
+    """_anchor_F_from SPA's picks, or None where the certificate cannot decide.
+
+    SPA runs on the distinct nonzero rows scaled to unit sum. Its picks are
+    the sweep's extreme rows when _anchor_F_from accepts them, each stands
+    clear of the other distinct rows (_picks_stand_clear), so no sweep step
+    drops it, and each other distinct row decomposes within eq_tol/2
+    (Euclidean), so every sweep step drops it.
+    """
+    reps, picks, _ = _successive_projection(p[nonzero].T, tol, conic=True)
+    reps, picks = nonzero[reps], nonzero[picks]
+    if not _picks_stand_clear(p.T, reps, picks, tol):
+        return None
+    try:
+        f_vals, q_vals, warnings = _anchor_F_from(p, picks, tol)
+    except RecoveryError:
+        return None
+    inside = np.setdiff1d(reps, picks)
+    if (np.linalg.norm(f_vals[inside] @ q_vals - p[inside], axis=1) > tol.eq_tol / 2).any():
+        return None
+    return f_vals, q_vals, warnings
+
+
 def recover_anchor_F(
     pi: ExpectedFreqMatrix, tol: Tolerance = DEFAULT_TOL
 ) -> RecoveredFactorization:
@@ -254,34 +303,19 @@ def recover_anchor_F(
 
     The extreme rays of the cone of P's rows give Q's rows up to scaling;
     the scaling is pinned by solving for unit column sums, and F's rows are
-    the conic weights of P's rows over the rescaled Q.
+    the conic weights of P's rows over the rescaled Q. SPA picks the rays,
+    certified by the scaling solve and the pass giving F; where that cannot
+    decide, minimal_conic_generating_rows finds them and makes every refusal.
     """
     p = pi.values
     nonzero = np.flatnonzero(np.abs(p).max(axis=1) > tol.eq_tol)
     if not nonzero.size:
         raise DecompositionInfeasible("input is numerically zero; no rays to recover")
-    kept = nonzero[minimal_conic_generating_rows(p[nonzero], tol)]
-    rays = p[kept]
-    k_pops = len(kept)
-    if not has_unique_conic_decompositions(rays, tol):
-        raise NonUniqueDecomposition(
-            f"{k_pops} extreme rays are linearly dependent; "
-            "decompositions over them are not unique"
-        )
-    # scaling eps with eps @ rays = all-ones makes the columns sum to 1
-    eps, *_ = np.linalg.lstsq(rays.T, np.ones(p.shape[1]), rcond=None)
-    if max_abs(eps @ rays - 1.0) > tol.eq_tol:
-        raise ScalingInfeasible(
-            "no ray scaling gives unit column sums; input is outside the regime"
-        )
-    if eps.min() <= tol.eq_tol:
-        raise ScalingInfeasible(
-            f"column-sum scaling has a nonpositive weight {eps.min():.3g}"
-        )
-    q_vals = eps[:, None] * rays
-    f_vals = _weights_of(p.T, q_vals.T, tol, False, "row {} is not a nonnegative "
-                         "combination of the recovered rows")
-    warnings = _near_duplicate_warnings(rays, "ray", tol)
+    factors = _anchor_F_by_projection(p, nonzero, tol)
+    if factors is None:
+        kept = nonzero[minimal_conic_generating_rows(p[nonzero], tol)]
+        factors = _anchor_F_from(p, kept, tol)
+    f_vals, q_vals, warnings = factors
     return _finalize(pi, f_vals, q_vals, "anchorF", tol, warnings)
 
 

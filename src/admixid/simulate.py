@@ -162,6 +162,8 @@ def generate_instance(
         "anchorF": _sample_anchor_f,
         "unadmixed": _sample_unadmixed,
     }[regime]
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     for _ in range(_GENERATION_ATTEMPTS):
         f_vals, q_vals = sampler(rng, k, m, n)

@@ -173,6 +173,22 @@ def test_recover_auto_goes_on_past_an_anchor_f_unit_box_failure(capsys, tmp_path
     assert report["K"] == 4
 
 
+@pytest.mark.parametrize("p, message", [
+    # an anchorQ member's rows span more than K rays: the sweep finds them dependent
+    (generate_instance("anchorQ", 3, 20, 15, 7).product().values,
+     "6 extreme rays are linearly dependent; decompositions over them are not unique"),
+    # the certified rays give a frequency above 1, which the final validation refuses
+    (UNIT_BOX_LEAK_PI,
+     "frequency matrix entries must lie in [0, 1] (within 1e-07); found range [0, 1.2]"),
+])
+def test_recover_anchor_f_refusals_keep_their_text(capsys, tmp_path, p, message):
+    pi = write_csv(tmp_path / "pi.csv", p)
+    code, out, err = run(
+        capsys, ["recover", "--pi", pi, "--regime", "anchorF", "--out-dir", str(tmp_path)]
+    )
+    assert (code, out, err) == (4, "", f"error: anchorF: {message}\n")
+
+
 def test_recover_anchor_f_zero_input_exits_4(capsys, tmp_path):
     pi = write_csv(tmp_path / "pi.csv", np.zeros((3, 4)))
     code, _, err = run(
@@ -411,6 +427,17 @@ def test_gen_without_a_member_to_find_exits_5(capsys, tmp_path):
     )
     assert code == 5
     assert err.startswith("error: GenerationFailed: no unadmixed member found")
+
+
+def test_gen_negative_seed_exits_5(capsys, tmp_path):
+    code, out, err = run(
+        capsys,
+        [
+            "gen", "--class", "anchorQ", "--k", "2", "--m", "4", "--n", "5",
+            "--seed", "-1", "--out-dir", str(tmp_path),
+        ],
+    )
+    assert (code, out, err) == (5, "", "error: seed must be nonnegative\n")
 
 
 def test_tolerance_flag_reaches_equivalence(capsys, tmp_path):

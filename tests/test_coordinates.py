@@ -2,8 +2,9 @@
 
 The oracles below are the pairwise loops and full-space solves the library
 used before its sweeps moved to span coordinates; every property asserts
-that the library returns the same indices. recover_anchor_Q, which finds its
-extreme columns by successive projection, is held to its sweep path.
+that the library returns the same indices. recover_anchor_Q and
+recover_anchor_F, which find their extreme columns and rays by successive
+projection, are held to their sweep paths.
 """
 
 import numpy as np
@@ -19,14 +20,18 @@ from admixid import (
     minimal_conic_generating_rows,
     minimal_generating_columns,
     rays_equal_up_to_scaling,
+    recover_anchor_F,
     recover_anchor_Q,
 )
 from admixid.conditions import anchor_Q_columns
+from admixid.cones import has_unique_conic_decompositions
 from admixid.convex import has_unique_decompositions, nonneg_lstsq
 from admixid.matrices import first_distinct_rows, span_svd
 from admixid.recovery import (
+    DecompositionInfeasible,
     NonUniqueDecomposition,
     RecoveryError,
+    ScalingInfeasible,
     _finalize,
     _weights_of,
 )
@@ -87,6 +92,23 @@ def oracle_recover_anchor_Q(pi, tol):
     return _finalize(pi, f_vals, q_vals, "anchorQ", tol, [])
 
 
+def oracle_recover_anchor_F(pi, tol):
+    """recover_anchor_F by the sweep alone: extreme rays, independence, scaling, one pass."""
+    p = pi.values
+    nonzero = np.flatnonzero(np.abs(p).max(axis=1) > tol.eq_tol)
+    if not nonzero.size:
+        raise DecompositionInfeasible("input is numerically zero")
+    rays = p[nonzero[minimal_conic_generating_rows(p[nonzero], tol)]]
+    if not has_unique_conic_decompositions(rays, tol):
+        raise NonUniqueDecomposition("extreme rays are linearly dependent")
+    eps, *_ = np.linalg.lstsq(rays.T, np.ones(p.shape[1]), rcond=None)
+    if max_abs(eps @ rays - 1.0) > tol.eq_tol or eps.min() <= tol.eq_tol:
+        raise ScalingInfeasible("no positive ray scaling gives unit column sums")
+    q_vals = eps[:, None] * rays
+    f_vals = _weights_of(p.T, q_vals.T, tol, False, "row {} does not decompose")
+    return _finalize(pi, f_vals, q_vals, "anchorF", tol, [])
+
+
 # ---- inputs ----------------------------------------------------------------
 
 def planted_duplicates(rng, base, copies, gap, scaled, signs=(1.0,)):
@@ -105,19 +127,21 @@ def planted_duplicates(rng, base, copies, gap, scaled, signs=(1.0,)):
     return np.array(rows)
 
 
-def low_rank_product(rng, k, m, n, anchors):
+def low_rank_product(rng, k, m, n, shape):
     """F Q with F uniform in [0.05, 0.95] and Q column-stochastic.
 
-    anchors plants identity columns in Q (anchorQ shape); otherwise F gets
-    diagonal anchor rows (anchorF shape).
+    shape anchorQ plants identity columns in Q, anchorF diagonal anchor rows
+    in F, and unadmixed makes every column of Q a random basis vector.
     """
     f = rng.uniform(0.05, 0.95, size=(m, k))
     q = rng.uniform(0.05, 1.0, size=(k, n))
     q /= q.sum(axis=0)
-    if anchors:
+    if shape == "anchorQ":
         q[:, rng.choice(n, size=k, replace=False)] = np.eye(k)
-    else:
+    elif shape == "anchorF":
         f[rng.choice(m, size=k, replace=False)] = np.diag(rng.uniform(0.2, 1.0, size=k))
+    else:
+        q = np.eye(k)[:, rng.integers(k, size=n)]
     return f @ q
 
 
@@ -171,7 +195,7 @@ noise = st.sampled_from([0.0, 1e-7])
 def test_minimal_columns_match_full_space_oracle(seed, size, sigma, gap, copies):
     k, m, n = size
     rng = np.random.default_rng(seed)
-    p = low_rank_product(rng, k, m, max(n, k), anchors=True)
+    p = low_rank_product(rng, k, m, max(n, k), "anchorQ")
     p = planted_duplicates(rng, p.T, copies, gap * TOL.eq_tol, False).T
     p = p + sigma * rng.standard_normal(p.shape)
     if sigma:
@@ -184,7 +208,7 @@ def test_minimal_columns_match_full_space_oracle(seed, size, sigma, gap, copies)
 def test_minimal_rows_match_full_space_oracle(seed, size, sigma, gap, copies):
     k, m, n = size
     rng = np.random.default_rng(seed)
-    p = low_rank_product(rng, k, max(m, k), n, anchors=False)
+    p = low_rank_product(rng, k, max(m, k), n, "anchorF")
     p = planted_duplicates(rng, p, copies, gap * TOL.eq_tol, True)
     p = np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, None)
     if sigma:
@@ -213,10 +237,38 @@ def test_recover_anchor_Q_matches_the_sweep(seed, size, anchors, sigma, gap, cop
     # vertices), with near-duplicate columns and noise
     k, m, n = size
     rng = np.random.default_rng(seed)
-    p = low_rank_product(rng, k, max(m, k), max(n, k), anchors)
+    p = low_rank_product(rng, k, max(m, k), max(n, k), "anchorQ" if anchors else "anchorF")
     p = planted_duplicates(rng, p.T, copies, gap * TOL.eq_tol, False).T
     pi = ExpectedFreqMatrix(np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, 1.0))
     assert recovery_outcome(recover_anchor_Q, pi) == recovery_outcome(oracle_recover_anchor_Q, pi)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(seed=seeds, size=sizes, shape=st.sampled_from(["anchorF", "anchorQ", "unadmixed"]),
+       sigma=noise, gap=gaps, copies=st.integers(0, 4))
+# scaled near-duplicates of a pick that the sweep keeps in its place: without
+# the picks' margin the certificate returns other factors, a success the
+# sweep refuses, or a refusal where the sweep succeeds
+@example(seed=3250408615, size=(2, 6, 2), shape="anchorF", sigma=0.0, gap=2.0, copies=3)
+@example(seed=3832320318, size=(2, 20, 3), shape="anchorF", sigma=0.0, gap=2.0, copies=2)
+@example(seed=1481799493, size=(3, 8, 4), shape="anchorF", sigma=0.0, gap=2.0, copies=2)
+@example(seed=2322221778, size=(4, 5, 25), shape="anchorF", sigma=0.0, gap=0.5, copies=2)
+# a scaled near-duplicate inside eq_tol of the picks' cone (max-abs) that the
+# sweep keeps: without the eq_tol/2 rule the certificate returns a success
+# where the sweep finds no scaling
+@example(seed=433265551, size=(2, 25, 13), shape="anchorF", sigma=0.0, gap=0.8, copies=4)
+@example(seed=3870048654, size=(2, 11, 8), shape="unadmixed", sigma=0.0, gap=0.91, copies=3)
+def test_recover_anchor_F_matches_the_sweep(seed, size, shape, sigma, gap, copies):
+    # anchorF members, and anchorQ- and unadmixed-shaped products (whose row
+    # cones generally have more than K extreme rays), with scaled
+    # near-duplicate rows and noise
+    k, m, n = size
+    rng = np.random.default_rng(seed)
+    # a third of F Q, so that copies scaled by up to 3 stay inside [0, 1]
+    p = low_rank_product(rng, k, max(m, k), max(n, k), shape) / 3
+    p = planted_duplicates(rng, p, copies, gap * TOL.eq_tol, True)
+    pi = ExpectedFreqMatrix(np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, 1.0))
+    assert recovery_outcome(recover_anchor_F, pi) == recovery_outcome(oracle_recover_anchor_F, pi)
 
 
 def test_span_svd_cuts_at_roundoff():
