@@ -24,9 +24,13 @@ are collapsed (r rows, r their rank above roundoff), a decomposition in an
 orthonormal basis of its generators' span. The part of a residual outside a
 subspace that holds the generators does not depend on the weights, so the
 minimizer is the full-space one, and each solve has r + 1 rows instead of
-one per entry. Accepting a decomposition stays the max-abs residual against
-eq_tol in the original space: eq_tol bounds entries of P, and an orthonormal
-change of coordinates keeps Euclidean lengths but not the largest entry.
+one per entry. A decomposition pass is one lstsq over all its targets: with
+generators of full rank a solution with no negative weight is the NNLS one
+(Lawson & Hanson 1974), so NNLS runs only for a target with a weight below
+0, or for all when the rank falls short. Accepting a decomposition stays the
+max-abs residual against eq_tol in the original space: eq_tol bounds entries
+of P, and an orthonormal change of coordinates keeps Euclidean lengths but
+not the largest entry.
 """
 
 from __future__ import annotations
@@ -127,17 +131,22 @@ def _fit(coords, target_coords, points, cols, target, unit_sum):
     return w, misfit
 
 
-def _decompositions(targets, generators, unit_sum: bool):
-    """Yields _fit of each column of targets over the generator columns.
-
-    Both are taken to coordinates in one orthonormal basis of the generators'
-    span, so a loop over many targets pays for one QR.
-    """
+def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance):
+    """(weights, misfits): column i the nonnegative weights of column i of targets,
+    misfits[i] their misfit as _fit has it, from one QR and one lstsq. _fit redoes
+    the targets the module docstring names, up to the first past eq_tol."""
     basis, g_coords = np.linalg.qr(generators)
     t_coords = basis.T @ targets
+    lift = _lifted if unit_sum else np.asarray
+    weights, _, rank, _ = np.linalg.lstsq(lift(g_coords), lift(t_coords), rcond=None)
+    misfits = np.abs(lift(generators) @ weights - lift(targets)).max(axis=0, initial=0.0)
     cols = np.arange(generators.shape[1])
-    for t, target in zip(t_coords.T, targets.T):
-        yield _fit(g_coords, t, generators, cols, target, unit_sum)
+    for i in np.flatnonzero((weights < 0).any(axis=0) | (rank < cols.size)):
+        weights[:, i], misfits[i] = _fit(g_coords, t_coords[:, i], generators, cols,
+                                         targets[:, i], unit_sum)
+        if misfits[i] > tol.eq_tol:
+            break  # every caller stops at the first such target
+    return weights, misfits
 
 
 def _decompose(target, generators: np.ndarray, tol: Tolerance, unit_sum: bool):
@@ -147,8 +156,8 @@ def _decompose(target, generators: np.ndarray, tol: Tolerance, unit_sum: bool):
         raise DimensionMismatch(
             f"target has dimension {v.shape[0]} but generators have {generators.shape[0]}"
         )
-    w, misfit = next(_decompositions(v[:, None], generators, unit_sum))
-    return w if misfit <= tol.eq_tol else None
+    weights, misfits = _decompositions(v[:, None], generators, unit_sum, tol)
+    return weights[:, 0] if misfits[0] <= tol.eq_tol else None
 
 
 def convex_decompose(

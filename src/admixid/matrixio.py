@@ -1,11 +1,15 @@
 """Delimited matrix files: comma-separated values, no header, LF line ends.
 
 Floats are written with 17 significant digits so a write/read round trip
-reproduces every double bit-for-bit. Parse failures, including a cell
-holding nan or inf, report 1-based line and column positions.
+reproduces every double bit-for-bit. np.loadtxt reads a file; one it fails
+on, finds empty or not finite goes to a line loop of float() calls, which
+reports the 1-based line and column of the error.
 """
 
 from __future__ import annotations
+
+import contextlib
+import warnings
 
 import numpy as np
 
@@ -30,6 +34,12 @@ def read_matrix(path) -> np.ndarray:
     rows: list[list[float]] = []
     line_nos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
+        with contextlib.suppress(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: the ShapeError below
+            arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            if arr.size and np.isfinite(arr).all():
+                return arr
+        fh.seek(0)
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -68,7 +78,6 @@ def write_matrix(path, values) -> None:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ShapeError("write_matrix expects a 2-D array")
+    fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in arr:
-            fh.write(",".join(f"{x:.17g}" for x in row))
-            fh.write("\n")
+        fh.write("".join(fmt % tuple(row) for row in arr.tolist()))

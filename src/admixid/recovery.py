@@ -118,12 +118,10 @@ def _weights_of(targets, generators, tol: Tolerance, unit_sum: bool, failure: st
 
     failure.format(i) is the DecompositionInfeasible text for target i.
     """
-    weights = np.empty((targets.shape[1], generators.shape[1]))
-    for i, (w, misfit) in enumerate(_decompositions(targets, generators, unit_sum)):
-        if misfit > tol.eq_tol:
-            raise DecompositionInfeasible(failure.format(i))
-        weights[i] = w
-    return weights
+    weights, misfits = _decompositions(targets, generators, unit_sum, tol)
+    if (misfits > tol.eq_tol).any():
+        raise DecompositionInfeasible(failure.format(np.argmax(misfits > tol.eq_tol)))
+    return weights.T.copy()
 
 
 def _finalize(
@@ -196,16 +194,15 @@ def _anchor_Q_by_projection(p: np.ndarray, tol: Tolerance):
     if not (has_unique_decompositions(f_vals, tol)
             and _picks_stand_clear(_lifted(p), reps, picks, tol)):
         return None
-    q_vals = np.empty((k_pops, p.shape[1]))
-    for i, (w, misfit) in enumerate(_decompositions(p, f_vals, True)):
-        if misfit <= tol.eq_tol:
-            q_vals[:, i] = w
-            continue
+    q_vals, misfits = _decompositions(p, f_vals, True, tol)
+    bad = np.flatnonzero(misfits > tol.eq_tol)
+    if bad.size:
+        i = bad[0]
         # a lower bound on the largest difference of the sweep's extreme
         # columns; rho under a tenth of rank_tol times it keeps their K-th
         # singular value under numeric_rank's cutoff
         spread = max_abs_distances(f_vals.T, f_vals.T).max() - 2 * tol.eq_tol
-        if misfit > 10 * tol.eq_tol and rho <= tol.rank_tol * spread / 10:
+        if misfits[i] > 10 * tol.eq_tol and rho <= tol.rank_tol * spread / 10:
             raise NonUniqueDecomposition(
                 f"column {i} lies outside the hull of {k_pops} affinely independent "
                 f"extreme columns that span the input; the input has more than {k_pops} "

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admixid import (
     DimensionMismatch,
     NotOpenCombination,
     UniqueDecomposition,
     alternative_decomposition,
+    conic_decompose,
     convex_decompose,
     has_unique_decompositions,
     is_extreme_point,
@@ -15,7 +18,7 @@ from admixid import (
 )
 from admixid import convex
 from admixid.convex import nonneg_lstsq, null_shift_direction, shift_to_boundary
-from admixid.matrices import max_abs
+from admixid.matrices import DEFAULT_TOL, max_abs
 
 
 def cols(*vectors):
@@ -267,3 +270,73 @@ def test_uniqueness_oracle_brute_force():
                 second = mu
                 break
         assert has_unique_decompositions(g) == (second is None)
+
+
+# ---- the batched decomposition pass against one _fit per column --------------
+
+def per_column(targets, generators, unit_sum):
+    """One _fit per column of targets over the generators' QR coordinates."""
+    basis, g_coords = np.linalg.qr(generators)
+    t_coords = basis.T @ targets
+    cols = np.arange(generators.shape[1])
+    fits = [convex._fit(g_coords, t, generators, cols, target, unit_sum)
+            for t, target in zip(t_coords.T, targets.T)]
+    weights = np.array([w for w, _ in fits]).reshape(targets.shape[1], generators.shape[1])
+    return weights.T.copy(), np.array([misfit for _, misfit in fits])
+
+
+def random_system(seed, d, k, unit_sum):
+    """Well-conditioned full-rank generators (d, k) and targets on, inside,
+    on a face of and outside their hull or cone.
+
+    The generators are k of the simplex's vertices 0, e_1, ..., e_d (without
+    0 when conic), shrunk to [0.1, 0.9] and moved by up to 0.05.
+    """
+    rng = np.random.default_rng(seed)
+    vertices = np.hstack([np.zeros((d, 1)), np.eye(d)])[:, (0 if unit_sum else 1):]
+    g = 0.1 + 0.8 * vertices[:, :k] + rng.uniform(-0.05, 0.05, size=(d, k))
+    inside = rng.dirichlet(np.ones(k), size=4).T
+    face = rng.dirichlet(np.ones(k), size=2).T
+    face[0] = 0.0
+    if not unit_sum:
+        inside *= rng.uniform(0.2, 3.0, size=4)
+        face *= rng.uniform(0.2, 3.0, size=2)
+    outside = rng.uniform(-1.0, 2.0, size=(d, 3))
+    return g, np.hstack([g, g @ inside, g @ face, outside])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), data=st.data(),
+       unit_sum=st.booleans())
+def test_batched_decompositions_match_one_fit_per_column(seed, d, data, unit_sum):
+    # affinely independent generators number up to d + 1, linearly independent ones up to d
+    k = data.draw(st.integers(1, d + 1 if unit_sum else d))
+    g, targets = random_system(seed, d, k, unit_sum)
+    want_w, want_misfits = per_column(targets, g, unit_sum)
+    eq_tol = DEFAULT_TOL.eq_tol
+    # the generators themselves, the first k targets, decompose
+    assert (want_misfits[:k] <= eq_tol).all()
+    order = np.random.default_rng(seed).permutation(targets.shape[1])
+    weights, misfits = convex._decompositions(targets[:, order], g, unit_sum, DEFAULT_TOL)
+    want_w, want_misfits = want_w[:, order], want_misfits[order]
+    # the pass may stop after the first refused target: callers read no further
+    refused = np.flatnonzero(want_misfits > eq_tol)
+    n = refused[0] + 1 if refused.size else order.size
+    assert weights.shape == want_w.shape
+    assert max_abs(weights[:, :n] - want_w[:, :n]) <= 1e-13
+    assert np.array_equal(misfits[:n] <= eq_tol, want_misfits[:n] <= eq_tol)
+
+
+def test_rank_deficient_generators_decompose_exactly_as_one_fit_per_column():
+    # a duplicated generator leaves the lifted system a column short of full rank
+    g = cols([0.2, 0.8, 0.5], [0.2, 0.8, 0.5], [0.7, 0.3, 0.1])
+    targets = np.column_stack([g @ [0.3, 0.3, 0.4], g[:, 2], [0.9, 0.9, 0.9]])
+    for unit_sum in (True, False):
+        weights, misfits = convex._decompositions(targets, g, unit_sum, DEFAULT_TOL)
+        want_w, want_misfits = per_column(targets, g, unit_sum)
+        assert weights.tobytes() == want_w.tobytes()
+        assert misfits.tobytes() == want_misfits.tobytes()
+    w = convex_decompose(targets[:, 0], g)
+    assert w.tobytes() == per_column(targets[:, :1], g, True)[0][:, 0].tobytes()
+    w = conic_decompose(targets[:, 0], g.T)
+    assert w.tobytes() == per_column(targets[:, :1], g, False)[0][:, 0].tobytes()
