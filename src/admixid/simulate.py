@@ -7,10 +7,17 @@ keyed with the two 64-bit words (seed, s), from which 2N uniform doubles are
 taken in order; entry i consumes draws 2i and 2i+1, and the genotype is
 [draw < P] + [draw < P]. Identical seed and input give bit-identical output,
 and rows can be filled independently (the per-row key is self-contained).
+
+Philox is counter-based, so a row's stream depends only on its key and
+counter: one Philox is reset to key (seed, s) and counter 0 for each row,
+not rebuilt. Rows are drawn in blocks of at most _BLOCK_WORDS uniforms (a
+longer row is a block of its own), and each block is compared against P in
+one array pass.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +57,10 @@ class EntryOutOfRange(ValueError):
 
 _GENERATION_ATTEMPTS = 100
 
+# uniforms per block of simulated rows (32 KiB of doubles): a block's arrays
+# stay under glibc's 128 KiB mmap threshold, so peak memory does not grow
+_BLOCK_WORDS = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class GenotypeMatrix:
@@ -61,8 +72,11 @@ class GenotypeMatrix:
         arr = np.asarray(self.values)
         if arr.ndim != 2:
             raise ValueError("genotype matrix must be 2-D")
-        as_int = np.rint(arr).astype(np.int64)
-        if np.any(np.abs(arr - as_int) > 0) or as_int.min() < 0 or as_int.max() > 2:
+        # an integer array is integral already (a uint64 past int64 wraps negative)
+        integral = arr.dtype.kind in "iu"
+        as_int = arr.astype(np.int64) if integral else np.rint(arr).astype(np.int64)
+        inexact = not integral and np.any(np.abs(arr - as_int) > 0)
+        if inexact or as_int.min() < 0 or as_int.max() > 2:
             raise EntryOutOfRange("genotypes must be integers in {0, 1, 2}")
         as_int.setflags(write=False)
         object.__setattr__(self, "values", as_int)
@@ -81,8 +95,10 @@ def simulate_genotypes(pi: ExpectedFreqMatrix, seed: int) -> GenotypeMatrix:
 
     The stream layout documented in the module docstring is part of the
     contract: per-row Philox keyed with the two words (seed, row index), 2N
-    doubles per row, consecutive pairs per entry. Seeds span [0, 2**64).
+    doubles per row, consecutive pairs per entry. Seeds are integers in
+    [0, 2**64).
     """
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if seed >= 2**64:
@@ -90,10 +106,23 @@ def simulate_genotypes(pi: ExpectedFreqMatrix, seed: int) -> GenotypeMatrix:
     p = pi.values
     m, n = p.shape
     out = np.empty((m, n), dtype=np.int64)
-    for s in range(m):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, s], dtype=np.uint64)))
-        draws = rng.random(2 * n).reshape(n, 2)
-        out[s] = (draws[:, 0] < p[s]).astype(np.int64) + (draws[:, 1] < p[s])
+    bit_gen = np.random.Philox(0)
+    draw = np.random.Generator(bit_gen).random
+    key = [seed, 0]
+    # a freshly keyed Philox: counter 0 and an empty output buffer
+    row_state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    rows = max(1, _BLOCK_WORDS // (2 * n))
+    u = np.empty((rows, n, 2))
+    flat = u.reshape(rows, 2 * n)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        for r, s in enumerate(range(start, stop)):
+            key[1] = s
+            bit_gen.state = row_state
+            draw(out=flat[r])
+        b, pb = u[: stop - start], p[start:stop]
+        np.add(b[..., 0] < pb, b[..., 1] < pb, out=out[start:stop], dtype=np.int64)
     return GenotypeMatrix(out)
 
 

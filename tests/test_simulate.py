@@ -12,6 +12,7 @@ from admixid import (
     generate_instance,
     simulate_genotypes,
 )
+from admixid.simulate import _BLOCK_WORDS
 
 
 def test_zero_probabilities_give_zero_genotypes():
@@ -36,6 +37,77 @@ def test_frozen_draw_seed_seven():
     g = simulate_genotypes(pi, seed=7)
     expected = [[0, 0, 1, 2], [0, 2, 0, 0], [2, 0, 2, 2]]
     assert np.array_equal(g.values, expected)
+
+
+def _row_uniforms(seed, s, n):
+    # the documented stream: a fresh Philox keyed (seed, row), 2N doubles
+    key = np.array([seed, s], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(2 * n)
+
+
+def _oracle(pi, seed):
+    p = pi.values
+    out = np.empty(p.shape, dtype=np.int64)
+    for s in range(p.shape[0]):
+        u = _row_uniforms(seed, s, p.shape[1])
+        out[s] = (u[0::2] < p[s]).astype(np.int64) + (u[1::2] < p[s])
+    return out
+
+
+def _edge_probabilities(seed, m, n):
+    # each cell's p is 0, 1, one of its own two draws (an exact multiple of
+    # 2**-53) or that draw's neighbour on either side, so the strict < decides
+    p = np.empty((m, n))
+    for s in range(m):
+        u = _row_uniforms(seed, s, n).reshape(n, 2)
+        for i in range(n):
+            d = u[i, (s + i) % 2]
+            p[s, i] = [0.0, 1.0, d, np.nextafter(d, 2.0), np.nextafter(d, -1.0)][(s + 3 * i) % 5]
+    return np.clip(p, 0.0, 1.0)
+
+
+def _rows_per_block(n):
+    return max(1, _BLOCK_WORDS // (2 * n))
+
+
+_SHAPES = [
+    (1, 1),
+    (1, 7),
+    (_rows_per_block(1) - 1, 1),
+    (_rows_per_block(1), 1),
+    (_rows_per_block(1) + 1, 1),
+    (_rows_per_block(7) - 1, 7),
+    (_rows_per_block(7), 7),
+    (_rows_per_block(7) + 1, 7),
+    (3 * _rows_per_block(7) + 5, 7),
+    # a block of a single row: exactly full, and a row longer than a block
+    (3, _BLOCK_WORDS // 2),
+    (3, _BLOCK_WORDS // 2 + 1),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("m,n", _SHAPES)
+def test_draw_matches_per_row_generators_bit_for_bit(m, n, seed):
+    pi = ExpectedFreqMatrix(_edge_probabilities(seed, m, n))
+    g = simulate_genotypes(pi, seed)
+    assert g.values.shape == (m, n)
+    assert np.array_equal(g.values, _oracle(pi, seed))
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0])
+def test_non_integral_seed_rejected(seed):
+    pi = ExpectedFreqMatrix([[0.5]])
+    with pytest.raises(TypeError):
+        simulate_genotypes(pi, seed)
+
+
+def test_numpy_integer_seed_draws_like_int():
+    pi = ExpectedFreqMatrix(np.full((3, 4), 0.5))
+    for seed in (7, 2**64 - 1):
+        assert np.array_equal(
+            simulate_genotypes(pi, np.uint64(seed)).values, simulate_genotypes(pi, seed).values
+        )
 
 
 def test_consecutive_seeds_share_no_row():
@@ -82,6 +154,36 @@ def test_genotype_matrix_validates_entries():
     assert g.values.dtype == np.int64
     with pytest.raises(ValueError):
         g.values[0, 0] = 1
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64])
+def test_integer_genotypes_checked_by_range_only(dtype):
+    g = GenotypeMatrix(np.array([[0, 1], [2, 0]], dtype=dtype))
+    assert g.values.dtype == np.int64
+    assert np.array_equal(g.values, [[0, 1], [2, 0]])
+    with pytest.raises(EntryOutOfRange):
+        GenotypeMatrix(np.array([[0, 3]], dtype=dtype))
+    if np.issubdtype(dtype, np.signedinteger):
+        with pytest.raises(EntryOutOfRange):
+            GenotypeMatrix(np.array([[0, -1]], dtype=dtype))
+
+
+def test_integer_genotypes_outside_int64_rejected():
+    # 2**64 - 1 would wrap to -1 in a cast to int64; 2**63 to -2**63
+    for big in (2**63, 2**64 - 1):
+        with pytest.raises(EntryOutOfRange):
+            GenotypeMatrix(np.array([[0, big]], dtype=np.uint64))
+    # beyond uint64 numpy holds Python ints, which the float path refuses
+    with pytest.raises((TypeError, ValueError)):
+        GenotypeMatrix([[0, 2**64]])
+
+
+def test_genotype_matrix_copies_integer_input():
+    arr = np.array([[0, 1], [2, 0]], dtype=np.int64)
+    g = GenotypeMatrix(arr)
+    arr[0, 0] = 2
+    assert g.values[0, 0] == 0
+    assert not g.values.flags.writeable
 
 
 def test_generate_instance_members_classify():
