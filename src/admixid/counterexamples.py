@@ -103,8 +103,38 @@ class CounterexamplePair:
             "alternative": pair_dict(self.alternative),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self, indent: int | None = 2) -> str:
+        """json.dumps(self.to_dict(), indent=indent), byte for byte.
+
+        json indents with its pure-Python encoder, so each matrix goes
+        through the C encoder unindented and is laid out afterwards.
+        """
+        data = self.to_dict()
+        if indent is None:
+            return json.dumps(data)
+        pairs = {key: data.pop(key) for key in ("original", "alternative")}
+        ind = " " * indent
+        # the head is a nonempty dict, so its text ends in "\n}"
+        parts = [json.dumps(data, indent=indent)[:-2]]
+        for key, pair in pairs.items():
+            body = ",".join(
+                f'\n{ind * 2}"{name}": {_indented_matrix(rows, ind, 2)}'
+                for name, rows in pair.items()
+            )
+            parts.append(f',\n{ind}"{key}": {{{body}\n{ind}}}')
+        return "".join(parts) + "\n}"
+
+
+def _indented_matrix(rows: list, ind: str, depth: int) -> str:
+    """json.dumps(rows, indent=len(ind)) for a nonempty float matrix at depth.
+
+    Unindented, such a matrix reads [[a, b], [c, d]]: only brackets, ", "
+    and float reprs, so two replaces, "], [" first, give json's layout.
+    """
+    outer, row, cell = ("\n" + ind * (depth + i) for i in range(3))
+    text = json.dumps(rows)[2:-2]
+    text = text.replace("], [", f"{row}],{row}[{cell}").replace(", ", f",{cell}")
+    return f"[{row}[{cell}{text}{row}]{outer}]"
 
 
 def _certify(

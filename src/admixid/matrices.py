@@ -145,14 +145,16 @@ class _UnitBoxMatrix:
             raise DimensionMismatch(f"{what} must be 2-D, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch(f"{what} must have at least one row and column")
-        if not np.all(np.isfinite(arr)):
+        # a NaN or an infinity always shows in the minimum or the maximum
+        lo, hi = arr.min(), arr.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError(f"{what} has non-finite entries")
-        if arr.min() < -slack or arr.max() > 1.0 + slack:
+        if lo < -slack or hi > 1.0 + slack:
             raise ValueError(
                 f"{what} entries must lie in [0, 1] (within {slack:g}); "
-                f"found range [{arr.min():g}, {arr.max():g}]"
+                f"found range [{lo:g}, {hi:g}]"
             )
-        arr = np.clip(arr, 0.0, 1.0)
+        np.clip(arr, 0.0, 1.0, out=arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admixid import (
     AdmixtureMatrix,
+    CounterexamplePair,
     DeltaOutOfRange,
     FactorPair,
     FrequencyMatrix,
@@ -432,3 +435,64 @@ def test_out_of_range_index_is_a_precondition_violation(construction, f_vals, q_
     index = [v for k, v in kwargs.items() if k != "delta"][0]
     assert type(info.value) is PreconditionViolated
     assert str(info.value).startswith(f"index {index} out of range for ")
+
+
+# one input per construction, each satisfying its hypotheses
+CONSTRUCTION_CASES = {
+    "perturb_interior_Q_column":
+        lambda: perturb_interior_Q_column(fmat(DEPENDENT_F3), qmat(ANCHOR_Q3)),
+    "rotate_R_Q": lambda: rotate_R_Q(fmat(MID_F3), qmat(INTERIOR_Q3)),
+    "perturb_F_row": lambda: perturb_F_row(fmat(ANCHOR_F3), qmat(DEPENDENT_Q3)),
+    "rotate_R_F": lambda: rotate_R_F(fmat(MID_F3), qmat(INTERIOR_Q3)),
+    "necessity_pq": lambda: necessity_pq(fmat(DEPENDENT_F3), 5),
+    "necessity_F_rows": lambda: necessity_F_rows(qmat(DEPENDENT_Q3), 5),
+    "unadmixed_dup_column":
+        lambda: unadmixed_dup_column(fmat([[0.2, 0.6, 0.6], [0.3, 0.5, 0.5]]), 4),
+    "unadmixed_missing_anchor":
+        lambda: unadmixed_missing_anchor(fmat(MID_F3), qmat(np.eye(3)[:, [0, 1, 1, 0]])),
+}
+INDENTS = [None, 0, 1, 2, 4]
+
+
+@pytest.mark.parametrize("indent", INDENTS)
+@pytest.mark.parametrize("name", CONSTRUCTION_CASES)
+def test_to_json_bytes_equal_json_dumps_of_to_dict(name, indent):
+    pair = CONSTRUCTION_CASES[name]()
+    assert pair.to_json(indent) == json.dumps(pair.to_dict(), indent=indent)
+
+
+def test_to_json_default_indent_is_two():
+    pair = CONSTRUCTION_CASES["perturb_F_row"]()
+    # a parameter holding a list sits in the head, next to the spliced matrices
+    assert isinstance(pair.to_dict()["parameters"]["v"], list)
+    assert pair.to_json() == json.dumps(pair.to_dict(), indent=2)
+
+
+# the extremes of float repr: zero, one, the smallest subnormal, an exponent
+# form, a 17-digit fraction and the float just below one
+SPECIAL_VALUES = [0.0, 1.0, 5e-324, 1e-05, 1 / 3, float(np.nextafter(1.0, 0.0))]
+
+
+@st.composite
+def special_pairs(draw):
+    """Pairs of 1 x 1, 1 x N, M x 1 or M x N matrices over SPECIAL_VALUES."""
+    m, k, n = (draw(st.sampled_from([1, 3])) for _ in range(3))
+    cell = st.sampled_from(SPECIAL_VALUES)
+    f = np.array([[draw(cell) for _ in range(k)] for _ in range(m)])
+    # column-stochastic: each column is (v, 1 - v, 0, ...) for K > 1
+    q = np.zeros((k, n))
+    q[0] = 1.0
+    if k > 1:
+        q[0] = [draw(cell) for _ in range(n)]
+        q[1] = 1.0 - q[0]
+    return FactorPair(fmat(f), qmat(q)), FactorPair(fmat(f[::-1]), qmat(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(special_pairs(), st.sampled_from(INDENTS), st.sampled_from(SPECIAL_VALUES))
+def test_to_json_bytes_over_special_values_and_thin_shapes(pairs, indent, value):
+    original, alternative = pairs
+    pair = CounterexamplePair(
+        original, alternative, "special", {"v": np.array([value, -value]), "k": 0}, value,
+    )
+    assert pair.to_json(indent) == json.dumps(pair.to_dict(), indent=indent)

@@ -86,6 +86,10 @@ BAD_VALUES = {
         [[-0.25], [1.25]], ValueError,
         "{} entries must lie in [0, 1] (within 1e-08); found range [-0.25, 1.25]",
     ),
+    "above-box": (
+        [[0.25, 1.5], [0.75, 0.5]], ValueError,
+        "{} entries must lie in [0, 1] (within 1e-08); found range [0.25, 1.5]",
+    ),
 }
 
 
@@ -208,3 +212,28 @@ def test_null_space_vector_contract():
         # sign convention: first nonvanishing entry positive
         nz = np.nonzero(np.abs(v) > 1e-12)[0]
         assert v[nz[0]] > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("cell", [(0, 0), (1, 1), (2, 2)], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("cls", MATRIX_TYPES, ids=lambda cls: cls.__name__)
+def test_non_finite_entry_is_named_before_the_range(cls, cell, bad):
+    values = np.full((3, 3), 1 / 3)
+    values[1, 0] = 5.0  # out of range too, in a cell the non-finite one never takes
+    values[cell] = bad
+    with pytest.raises(ValueError) as info:
+        cls(values)
+    assert str(info.value) == f"{MATRIX_TYPES[cls]} has non-finite entries"
+
+
+@pytest.mark.parametrize("cls", MATRIX_TYPES, ids=lambda cls: cls.__name__)
+def test_validation_copies_clips_and_freezes(cls):
+    # within eq_tol of the box, with unit column sums for AdmixtureMatrix
+    given = np.array([[1.0 + 5e-9, 0.5], [-5e-9, 0.5]])
+    before = given.copy()
+    m = cls(given)
+    assert np.array_equal(given, before)
+    assert given.flags.writeable
+    assert m.values.tolist() == [[1.0, 0.5], [0.0, 0.5]]
+    assert not m.values.flags.writeable
+    assert not np.shares_memory(m.values, given)
