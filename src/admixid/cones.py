@@ -17,7 +17,9 @@ space, where eq_tol is defined; coordinates keep Euclidean lengths only.
 
 The sweep makes one solve per row. Scaled to unit sum, nonnegative rows have
 the extreme rays as the vertices of their hull, where convex's SPA finds them;
-recovery certifies its picks and sweeps only where the certificate cannot.
+recovery certifies its picks and, only where the certificate cannot decide,
+runs convex's sweep on SPA's distinct rows without calling
+minimal_conic_generating_rows, which stays public.
 """
 
 from __future__ import annotations

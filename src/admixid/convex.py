@@ -16,7 +16,8 @@ In exact arithmetic each pick is a vertex of the hull, and the picks are all
 of them when every column decomposes over them; scaled to unit sum instead,
 nonnegative columns give the extreme rays of their cone (see cones). The
 picks are only a candidate set: recovery certifies them with the pass that
-decomposes over them and falls back to the sweep where that cannot decide.
+decomposes over them and, where that cannot decide, runs the sweep itself
+on SPA's distinct columns; minimal_generating_columns is the public sweep.
 
 The nonnegative least-squares solves run in coordinates: the sweep in the
 column coordinates of the thin SVD of the columns left after near-duplicates

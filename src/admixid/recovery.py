@@ -9,6 +9,10 @@ Each identifiable regime has a constructive inverse:
 * unadmixed: F's columns are the distinct columns of P and Q assigns each
   individual to its matching column.
 
+The anchor regimes mirror each other (rows scaled to unit sum have their
+cone's extreme rays as their hull's vertices), and one certified SPA engine
+serves both (_recover_anchors).
+
 All three validate their output (class membership and reconstruction
 residual) before returning, so success certifies that P belongs to the
 regime's image.
@@ -25,11 +29,11 @@ from .convex import (
     _decompositions,
     _lifted,
     _successive_projection,
+    _sweep,
     has_unique_decompositions,
-    minimal_generating_columns,
     nonneg_lstsq,
 )
-from .cones import has_unique_conic_decompositions, minimal_conic_generating_rows
+from .cones import has_unique_conic_decompositions
 from .matrices import (
     DEFAULT_TOL,
     AdmixtureMatrix,
@@ -113,17 +117,6 @@ def _near_duplicate_warnings(vectors: np.ndarray, kind: str, tol: Tolerance) -> 
     ]
 
 
-def _weights_of(targets, generators, tol: Tolerance, unit_sum: bool, failure: str):
-    """One row per column of targets: its weights over the generator columns.
-
-    failure.format(i) is the DecompositionInfeasible text for target i.
-    """
-    weights, misfits = _decompositions(targets, generators, unit_sum, tol)
-    if (misfits > tol.eq_tol).any():
-        raise DecompositionInfeasible(failure.format(np.argmax(misfits > tol.eq_tol)))
-    return weights.T.copy()
-
-
 def _finalize(
     pi: ExpectedFreqMatrix,
     f_vals: np.ndarray,
@@ -170,53 +163,107 @@ def _picks_stand_clear(points, reps, picks, tol: Tolerance) -> bool:
     return True
 
 
-def _anchor_Q_by_projection(p: np.ndarray, tol: Tolerance):
-    """(F, Q) values from SPA's picks, or None where the certificate cannot decide.
-
-    The picks are the sweep's extreme columns, and the decompositions over
-    them its Q, when every sweep step must decide as the certificate does:
-
-    * the picks are affinely independent;
-    * each pick stands clear of the other distinct columns, all lifted by a
-      row of ones, so no sweep step can drop it (_picks_stand_clear);
-    * every column decomposes over the picks;
-    * each other distinct column does so within eq_tol/2 in the lifted
-      Euclidean norm, so every sweep step drops it.
-
-    A column more than 10x eq_tol outside the picks' hull, with the residual
-    SPA leaves below the rank cutoff, means more than K extreme columns in
-    the K-1 dimensions the K picks span: the sweep would find them affinely
-    dependent, and this raises the same NonUniqueDecomposition.
-    """
-    reps, picks, rho = _successive_projection(p, tol)
-    f_vals = p[:, picks]
-    k_pops = len(picks)
-    if not (has_unique_decompositions(f_vals, tol)
-            and _picks_stand_clear(_lifted(p), reps, picks, tol)):
-        return None
-    q_vals, misfits = _decompositions(p, f_vals, True, tol)
-    bad = np.flatnonzero(misfits > tol.eq_tol)
-    if bad.size:
-        i = bad[0]
-        # a lower bound on the largest difference of the sweep's extreme
-        # columns; rho under a tenth of rank_tol times it keeps their K-th
-        # singular value under numeric_rank's cutoff
-        spread = max_abs_distances(f_vals.T, f_vals.T).max() - 2 * tol.eq_tol
-        if misfits[i] > 10 * tol.eq_tol and rho <= tol.rank_tol * spread / 10:
-            raise NonUniqueDecomposition(
-                f"column {i} lies outside the hull of {k_pops} affinely independent "
-                f"extreme columns that span the input; the input has more than {k_pops} "
-                "extreme columns, so decompositions over them are not unique"
+def _pass_over(targets: np.ndarray, kept: np.ndarray, tol: Tolerance, conic: bool):
+    """(generators, weights, misfits): the decomposition pass of the columns
+    of targets over its kept columns, or with conic over those scaled by
+    eps, where rays @ eps = all-ones gives Q unit column sums. Raises where
+    the kept columns are dependent (affinely, or linearly with conic) or no
+    positive scaling exists."""
+    gens = targets[:, kept]
+    if not (has_unique_conic_decompositions(gens.T, tol) if conic
+            else has_unique_decompositions(gens, tol)):
+        raise NonUniqueDecomposition(
+            f"{kept.size} extreme {'rays are linearly' if conic else 'columns are affinely'} "
+            "dependent; decompositions over them are not unique"
+        )
+    if conic:
+        eps, *_ = np.linalg.lstsq(gens, np.ones(targets.shape[0]), rcond=None)
+        if max_abs(gens @ eps - 1.0) > tol.eq_tol:
+            raise ScalingInfeasible(
+                "no ray scaling gives unit column sums; input is outside the regime"
             )
-        return None
-    inside = np.setdiff1d(reps, picks)
-    lifted_gap = np.hypot(
-        np.linalg.norm(f_vals @ q_vals[:, inside] - p[:, inside], axis=0),
-        q_vals[:, inside].sum(axis=0) - 1.0,
-    )
-    if (lifted_gap > tol.eq_tol / 2).any():
-        return None
-    return f_vals, q_vals
+        if eps.min() <= tol.eq_tol:
+            raise ScalingInfeasible(f"column-sum scaling has a nonpositive weight {eps.min():.3g}")
+        gens = gens * eps
+    return (gens, *_decompositions(targets, gens, not conic, tol))
+
+
+def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
+    """recover_anchor_Q, or with conic recover_anchor_F.
+
+    The candidates are P's columns, or with conic its nonzero rows. SPA's
+    picks are the sweep's extreme candidates, and the one decomposition pass
+    over them gives the other factor, when every sweep step must decide as
+    this certificate does:
+
+    * each pick stands clear of the other distinct candidates (lifted by a
+      row of ones, or raw with conic), so no sweep step can drop it
+      (_picks_stand_clear);
+    * the picks are independent (affinely, or linearly with conic), and with
+      conic a positive scaling of them gives Q unit column sums;
+    * every column (row) decomposes over the picks;
+    * each other distinct candidate does so within eq_tol/2 in the
+      Euclidean norm (lifted without conic), so every sweep step drops it.
+
+    Without conic, a column more than 10x eq_tol outside the picks' hull,
+    with the residual SPA leaves below the rank cutoff, means more than K
+    extreme columns in the K-1 dimensions the K picks span: the sweep would
+    find them affinely dependent, and this raises NonUniqueDecomposition.
+    Where the certificate cannot decide, the sweep over SPA's distinct
+    candidates finds the extreme ones, and the same pass makes every refusal.
+    """
+    p = pi.values
+    if conic:
+        index = np.flatnonzero(np.abs(p).max(axis=1) > tol.eq_tol)
+        if not index.size:
+            raise DecompositionInfeasible("input is numerically zero; no rays to recover")
+        points, targets, kind = p[index].T, p.T, "ray"
+    else:
+        index, points, targets, kind = np.arange(p.shape[1]), p, p, "column"
+    reps, picks, rho = _successive_projection(points, tol, conic)
+    clear = _picks_stand_clear(targets if conic else _lifted(p), index[reps], index[picks], tol)
+    # the certificate where the picks stand clear; it breaks or falls through to the sweep
+    for certify in (clear, False):
+        kept = index[picks if certify else _sweep(points, reps, None, tol, not conic)]
+        try:
+            gens, weights, misfits = _pass_over(targets, kept, tol, conic)
+        except (NonUniqueDecomposition, ScalingInfeasible):
+            if not certify:
+                raise
+            continue
+        bad = np.flatnonzero(misfits > tol.eq_tol)
+        if not certify:
+            if bad.size:
+                raise DecompositionInfeasible(
+                    f"row {bad[0]} is not a nonnegative combination of the recovered rows"
+                    if conic else
+                    f"column {bad[0]} is not a convex combination of the extreme columns"
+                )
+            break
+        if bad.size:
+            if not conic and misfits[bad[0]] > 10 * tol.eq_tol:
+                # a lower bound on the largest difference of the sweep's extreme
+                # columns; rho under a tenth of rank_tol times it keeps their K-th
+                # singular value under numeric_rank's cutoff
+                spread = max_abs_distances(gens.T, gens.T).max() - 2 * tol.eq_tol
+                if rho <= tol.rank_tol * spread / 10:
+                    raise NonUniqueDecomposition(
+                        f"column {bad[0]} lies outside the hull of {kept.size} affinely "
+                        f"independent extreme columns that span the input; the input has "
+                        f"more than {kept.size} extreme columns, so decompositions over "
+                        "them are not unique"
+                    )
+            continue
+        inside = np.setdiff1d(index[reps], kept)
+        gap = np.hypot(
+            np.linalg.norm(gens @ weights[:, inside] - targets[:, inside], axis=0),
+            0.0 if conic else weights[:, inside].sum(axis=0) - 1.0,
+        )
+        if not (gap > tol.eq_tol / 2).any():
+            break
+    f_vals, q_vals = (weights.T.copy(), gens.T) if conic else (gens, weights)
+    warnings = _near_duplicate_warnings(targets[:, kept].T, kind, tol)
+    return _finalize(pi, f_vals, q_vals, "anchorF" if conic else "anchorQ", tol, warnings)
 
 
 def recover_anchor_Q(
@@ -225,72 +272,12 @@ def recover_anchor_Q(
     """Recover (F, Q) assuming anchor individuals and independent F columns.
 
     F's columns are the minimal generating subset of P's columns in
-    first-occurrence order, and Q holds the decompositions of P's columns
-    over them. They are found by the successive projection algorithm and
-    certified by that one decomposition pass; where the certificate cannot
-    decide, the full sweep (minimal_generating_columns) finds them and a
-    second pass decomposes. Raises NonUniqueDecomposition when the extreme
-    columns fail independence and DecompositionInfeasible when a column will
-    not decompose.
+    first-occurrence order, the extreme points of their hull, and Q holds
+    the decompositions of P's columns over them (_recover_anchors). Raises
+    NonUniqueDecomposition when the extreme columns fail independence and
+    DecompositionInfeasible when a column will not decompose.
     """
-    p = pi.values
-    certified = _anchor_Q_by_projection(p, tol)
-    if certified is not None:
-        f_vals, q_vals = certified
-    else:
-        f_vals = p[:, minimal_generating_columns(p, tol)]
-        if not has_unique_decompositions(f_vals, tol):
-            raise NonUniqueDecomposition(
-                f"{f_vals.shape[1]} extreme columns are affinely dependent; "
-                "decompositions over them are not unique"
-            )
-        q_vals = _weights_of(p, f_vals, tol, True, "column {} is not a convex "
-                             "combination of the extreme columns").T.copy()
-    warnings = _near_duplicate_warnings(f_vals.T, "column", tol)
-    return _finalize(pi, f_vals, q_vals, "anchorQ", tol, warnings)
-
-
-def _anchor_F_from(p: np.ndarray, kept, tol: Tolerance):
-    """(F, Q, warnings) with P's rows kept as the rays, which must be independent;
-    eps @ rays = all-ones scales them so Q's columns sum to 1, and F holds conic weights."""
-    rays = p[kept]
-    if not has_unique_conic_decompositions(rays, tol):
-        raise NonUniqueDecomposition(f"{len(kept)} extreme rays are linearly dependent; "
-                                     "decompositions over them are not unique")
-    eps, *_ = np.linalg.lstsq(rays.T, np.ones(p.shape[1]), rcond=None)
-    if max_abs(eps @ rays - 1.0) > tol.eq_tol:
-        raise ScalingInfeasible(
-            "no ray scaling gives unit column sums; input is outside the regime"
-        )
-    if eps.min() <= tol.eq_tol:
-        raise ScalingInfeasible(f"column-sum scaling has a nonpositive weight {eps.min():.3g}")
-    q_vals = eps[:, None] * rays
-    f_vals = _weights_of(p.T, q_vals.T, tol, False, "row {} is not a nonnegative "
-                         "combination of the recovered rows")
-    return f_vals, q_vals, _near_duplicate_warnings(rays, "ray", tol)
-
-
-def _anchor_F_by_projection(p: np.ndarray, nonzero: np.ndarray, tol: Tolerance):
-    """_anchor_F_from SPA's picks, or None where the certificate cannot decide.
-
-    SPA runs on the distinct nonzero rows scaled to unit sum. Its picks are
-    the sweep's extreme rows when _anchor_F_from accepts them, each stands
-    clear of the other distinct rows (_picks_stand_clear), so no sweep step
-    drops it, and each other distinct row decomposes within eq_tol/2
-    (Euclidean), so every sweep step drops it.
-    """
-    reps, picks, _ = _successive_projection(p[nonzero].T, tol, conic=True)
-    reps, picks = nonzero[reps], nonzero[picks]
-    if not _picks_stand_clear(p.T, reps, picks, tol):
-        return None
-    try:
-        f_vals, q_vals, warnings = _anchor_F_from(p, picks, tol)
-    except RecoveryError:
-        return None
-    inside = np.setdiff1d(reps, picks)
-    if (np.linalg.norm(f_vals[inside] @ q_vals - p[inside], axis=1) > tol.eq_tol / 2).any():
-        return None
-    return f_vals, q_vals, warnings
+    return _recover_anchors(pi, tol, conic=False)
 
 
 def recover_anchor_F(
@@ -300,20 +287,9 @@ def recover_anchor_F(
 
     The extreme rays of the cone of P's rows give Q's rows up to scaling;
     the scaling is pinned by solving for unit column sums, and F's rows are
-    the conic weights of P's rows over the rescaled Q. SPA picks the rays,
-    certified by the scaling solve and the pass giving F; where that cannot
-    decide, minimal_conic_generating_rows finds them and makes every refusal.
+    the conic weights of P's rows over the rescaled Q (_recover_anchors).
     """
-    p = pi.values
-    nonzero = np.flatnonzero(np.abs(p).max(axis=1) > tol.eq_tol)
-    if not nonzero.size:
-        raise DecompositionInfeasible("input is numerically zero; no rays to recover")
-    factors = _anchor_F_by_projection(p, nonzero, tol)
-    if factors is None:
-        kept = nonzero[minimal_conic_generating_rows(p[nonzero], tol)]
-        factors = _anchor_F_from(p, kept, tol)
-    f_vals, q_vals, warnings = factors
-    return _finalize(pi, f_vals, q_vals, "anchorF", tol, warnings)
+    return _recover_anchors(pi, tol, conic=True)
 
 
 def recover_unadmixed(

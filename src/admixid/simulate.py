@@ -105,7 +105,8 @@ def simulate_genotypes(pi: ExpectedFreqMatrix, seed: int) -> GenotypeMatrix:
         raise ValueError("seed must be below 2**64, the width of a Philox key word")
     p = pi.values
     m, n = p.shape
-    out = np.empty((m, n), dtype=np.int64)
+    # counts of at most 2; GenotypeMatrix makes the one int64 copy
+    out = np.empty((m, n), dtype=np.int8)
     bit_gen = np.random.Philox(0)
     draw = np.random.Generator(bit_gen).random
     key = [seed, 0]
@@ -122,7 +123,7 @@ def simulate_genotypes(pi: ExpectedFreqMatrix, seed: int) -> GenotypeMatrix:
             bit_gen.state = row_state
             draw(out=flat[r])
         b, pb = u[: stop - start], p[start:stop]
-        np.add(b[..., 0] < pb, b[..., 1] < pb, out=out[start:stop], dtype=np.int64)
+        np.add(b[..., 0] < pb, b[..., 1] < pb, out=out[start:stop], dtype=np.int8)
     return GenotypeMatrix(out)
 
 

@@ -173,6 +173,15 @@ def test_recover_auto_goes_on_past_an_anchor_f_unit_box_failure(capsys, tmp_path
     assert report["K"] == 4
 
 
+# the cone of rows 0-2 and a point just outside the middle of its face 0-1
+# (OUTWARD is that face's outer normal); with EQ = eq_tol, row 3 lies 0.5 EQ
+# and its scaled near-duplicate row 4 1.4 EQ outside it
+EQ = Tolerance().eq_tol
+FACE_MID, OUTWARD = np.array([0.25, 0.5, 0.25]), np.array([-1.0, 1.0, -1.0])
+ROW_OUTSIDE_THE_CONE_PI = [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5],
+                           FACE_MID + 0.5 * EQ * OUTWARD, FACE_MID + 1.4 * EQ * OUTWARD]
+
+
 @pytest.mark.parametrize("p, message", [
     # an anchorQ member's rows span more than K rays: the sweep finds them dependent
     (generate_instance("anchorQ", 3, 20, 15, 7).product().values,
@@ -180,6 +189,14 @@ def test_recover_auto_goes_on_past_an_anchor_f_unit_box_failure(capsys, tmp_path
     # the certified rays give a frequency above 1, which the final validation refuses
     (UNIT_BOX_LEAK_PI,
      "frequency matrix entries must lie in [0, 1] (within 1e-07); found range [0, 1.2]"),
+    # the sweep drops row 3, within eq_tol of the cone, and row 4 is its duplicate
+    (ROW_OUTSIDE_THE_CONE_PI,
+     "row 4 is not a nonnegative combination of the recovered rows"),
+    # two independent rays whose span misses the all-ones row
+    ([[0.5, 0, 0], [0, 0.5, 0]],
+     "no ray scaling gives unit column sums; input is outside the regime"),
+    # the all-ones row lies outside the cone of the two rays
+    ([[0.8, 0.2], [0.6, 0.4]], "column-sum scaling has a nonpositive weight -1"),
 ])
 def test_recover_anchor_f_refusals_keep_their_text(capsys, tmp_path, p, message):
     pi = write_csv(tmp_path / "pi.csv", p)
@@ -187,6 +204,24 @@ def test_recover_anchor_f_refusals_keep_their_text(capsys, tmp_path, p, message)
         capsys, ["recover", "--pi", pi, "--regime", "anchorF", "--out-dir", str(tmp_path)]
     )
     assert (code, out, err) == (4, "", f"error: anchorF: {message}\n")
+
+
+@pytest.mark.parametrize("p, message", [
+    # a fourth vertex 3 eq_tol outside the triangle: too close for the 10x
+    # refusal of the certificate, so the sweep finds four dependent vertices
+    ([[0, 1, 0, 0.5 + 3 * EQ], [0, 0, 1, 0.5 + 3 * EQ]],
+     "4 extreme columns are affinely dependent; decompositions over them are not unique"),
+    # the sweep drops column 3 just outside the triangle, and column 4 is its
+    # near-duplicate further out
+    ([[0, 1, 0, 0.5 + 1.2 * EQ, 0.5 + 1.8 * EQ], [0, 0, 1, 0.5 + 1.2 * EQ, 0.5 + 1.8 * EQ]],
+     "column 4 is not a convex combination of the extreme columns"),
+])
+def test_recover_anchor_q_refusals_keep_their_text(capsys, tmp_path, p, message):
+    pi = write_csv(tmp_path / "pi.csv", p)
+    code, out, err = run(
+        capsys, ["recover", "--pi", pi, "--regime", "anchorQ", "--out-dir", str(tmp_path)]
+    )
+    assert (code, out, err) == (4, "", f"error: anchorQ: {message}\n")
 
 
 def test_recover_anchor_f_zero_input_exits_4(capsys, tmp_path):

@@ -25,7 +25,7 @@ from admixid import (
 )
 from admixid.conditions import anchor_Q_columns
 from admixid.cones import has_unique_conic_decompositions
-from admixid.convex import has_unique_decompositions, nonneg_lstsq
+from admixid.convex import _decompositions, has_unique_decompositions, nonneg_lstsq
 from admixid.matrices import first_distinct_rows, span_svd
 from admixid.recovery import (
     DecompositionInfeasible,
@@ -33,7 +33,6 @@ from admixid.recovery import (
     RecoveryError,
     ScalingInfeasible,
     _finalize,
-    _weights_of,
 )
 
 TOL = Tolerance()
@@ -88,7 +87,9 @@ def oracle_recover_anchor_Q(pi, tol):
     f_vals = p[:, minimal_generating_columns(p, tol)]
     if not has_unique_decompositions(f_vals, tol):
         raise NonUniqueDecomposition("extreme columns are affinely dependent")
-    q_vals = _weights_of(p, f_vals, tol, True, "column {} does not decompose").T.copy()
+    q_vals, misfits = _decompositions(p, f_vals, True, tol)
+    if (misfits > tol.eq_tol).any():
+        raise DecompositionInfeasible("a column does not decompose")
     return _finalize(pi, f_vals, q_vals, "anchorQ", tol, [])
 
 
@@ -105,8 +106,10 @@ def oracle_recover_anchor_F(pi, tol):
     if max_abs(eps @ rays - 1.0) > tol.eq_tol or eps.min() <= tol.eq_tol:
         raise ScalingInfeasible("no positive ray scaling gives unit column sums")
     q_vals = eps[:, None] * rays
-    f_vals = _weights_of(p.T, q_vals.T, tol, False, "row {} does not decompose")
-    return _finalize(pi, f_vals, q_vals, "anchorF", tol, [])
+    f_weights, misfits = _decompositions(p.T, q_vals.T, False, tol)
+    if (misfits > tol.eq_tol).any():
+        raise DecompositionInfeasible("a row does not decompose")
+    return _finalize(pi, f_weights.T, q_vals, "anchorF", tol, [])
 
 
 # ---- inputs ----------------------------------------------------------------

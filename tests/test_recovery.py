@@ -22,6 +22,7 @@ from admixid import (
     recover_anchor_Q,
     recover_unadmixed,
 )
+from admixid import cones, convex
 from admixid.matrices import Tolerance, max_abs
 
 ROUND_TRIP_TOL = Tolerance(eq_tol=1e-6)
@@ -106,6 +107,26 @@ def test_anchor_f_dependent_rays_not_unique():
     rows = [[0.5, 0, 0.5], [0, 0.5, 0.5], [0.5, 0.5, 0], [0.2, 0.2, 0.6]]
     with pytest.raises(NonUniqueDecomposition, match="4 extreme rays are linearly dependent"):
         recover_anchor_F(pi_of(rows))
+
+
+def test_anchor_f_refusal_scans_for_duplicates_once(monkeypatch):
+    # an unadmixed member's row cone has more extreme rays than its rank, so
+    # the certificate cannot decide and the sweep refuses; the sweep reuses
+    # SPA's distinct rows instead of scanning the rows again
+    scans = []
+
+    def counted(scan):
+        def wrapper(*args, **kwargs):
+            scans.append(args)
+            return scan(*args, **kwargs)
+        return wrapper
+
+    for module in (convex, cones):
+        monkeypatch.setattr(module, "first_distinct_rows", counted(module.first_distinct_rows))
+    pi = generate_instance("unadmixed", 4, 200, 150, 1).product()
+    with pytest.raises(NonUniqueDecomposition):
+        recover_anchor_F(pi)
+    assert len(scans) == 1
 
 
 def test_anchor_f_frequency_above_one_is_a_recovery_error():

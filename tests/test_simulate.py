@@ -1,5 +1,7 @@
 """Genotype simulation and random instance generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,20 @@ def test_genotype_matrix_copies_integer_input():
     arr[0, 0] = 2
     assert g.values[0, 0] == 0
     assert not g.values.flags.writeable
+
+
+def test_simulate_holds_one_full_size_int64_array():
+    # the draw fills a one-byte buffer, and GenotypeMatrix's int64 copy is
+    # the only full-size array; an int64 buffer would double the peak
+    pi = ExpectedFreqMatrix(np.full((2000, 400), 0.3))
+    tracemalloc.start()
+    try:
+        g = simulate_genotypes(pi, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.values.dtype == np.int64
+    assert peak < 1.5 * g.values.nbytes
 
 
 def test_generate_instance_members_classify():
