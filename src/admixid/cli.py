@@ -139,7 +139,9 @@ _PARSER = _build_parser()
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)  # and the newline apart, not a copy of text with it
+            fh.write("\n")
     else:
         print(text)
 
@@ -216,9 +218,9 @@ def _cmd_counterexample(args, tol: Tolerance) -> int:
 def _genotype_text(g: np.ndarray) -> str:
     """CSV text of one-digit genotypes in one byte buffer, no final newline."""
     text = np.full((g.shape[0], 2 * g.shape[1]), ord(","), dtype=np.uint8)
-    text[:, 0::2] = g + ord("0")
+    np.add(g, ord("0"), out=text[:, 0::2], casting="unsafe")
     text[:, -1] = ord("\n")
-    return text.tobytes()[:-1].decode("ascii")
+    return str(text.reshape(-1)[:-1], "ascii")
 
 
 def _cmd_simulate(args, tol: Tolerance) -> int:

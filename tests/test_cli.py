@@ -95,6 +95,21 @@ def test_non_finite_cell_exits_2(capsys, tmp_path):
     assert "line 2, column 2" in err
 
 
+@pytest.mark.parametrize("command", ["check", "recover"])
+def test_non_utf8_byte_exits_2_naming_its_cell(capsys, tmp_path, command):
+    # a UnicodeDecodeError is a ValueError, which the CLI would map to exit 5
+    bad = tmp_path / "m.csv"
+    bad.write_bytes(b"0.5,0.25\n0.75,\xe9\n")
+    q = write_csv(tmp_path / "Q.csv", np.eye(2))
+    argv = {
+        "check": ["check", "--f", str(bad), "--q", q],
+        "recover": ["recover", "--pi", str(bad), "--out-dir", str(tmp_path)],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: line 2, column 2: byte 0xe9 is not UTF-8\n"
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     q = write_csv(tmp_path / "Q.csv", np.eye(2))
     code, _, err = run(capsys, ["check", "--f", str(tmp_path / "nope.csv"), "--q", q])

@@ -1,13 +1,15 @@
 """CSV matrix reading and writing."""
 
+import io
 import warnings
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admixid import ParseError, ShapeError, read_matrix, write_matrix
+from admixid import ParseError, ShapeError, matrixio, read_matrix, write_matrix
 
 
 def test_read_literal_matrix(tmp_path):
@@ -219,3 +221,238 @@ def test_read_matrix_matches_the_cell_by_cell_parse(tmp_path_factory, text):
         warnings.simplefilter("error")
         got = outcome(read_matrix, p)
     assert got == outcome(oracle_read_matrix, p)
+
+
+# ---- non-UTF-8 input ----------------------------------------------------------
+
+def test_non_utf8_byte_is_a_parse_error_at_its_cell(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"0.5,0.25\n\n0.75,0.5\xe9\n")
+    with pytest.raises(ParseError) as exc:
+        read_matrix(p)
+    assert (exc.value.line, exc.value.column) == (3, 2)
+    assert str(exc.value) == "line 3, column 2: byte 0xe9 is not UTF-8"
+
+
+def test_first_bad_cell_wins_over_a_later_non_utf8_byte(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"0.5,x\n0.75,\xff\n")
+    with pytest.raises(ParseError, match="line 1, column 2: cannot parse 'x'"):
+        read_matrix(p)
+
+
+def test_non_utf8_byte_in_a_large_file(tmp_path):
+    p = tmp_path / "m.csv"
+    lines = ["0.25,0.5,0.75"] * (matrixio._PLAIN_MIN_BYTES // 10)
+    lines[-2] = "0.25,\xc3(,0.75"  # a lead byte without its continuation
+    p.write_bytes("\n".join(lines).encode("latin-1"))
+    with pytest.raises(ParseError) as exc:
+        read_matrix(p)
+    assert (exc.value.line, exc.value.column) == (len(lines) - 1, 2)
+    assert "byte 0xc3 is not UTF-8" in str(exc.value)
+
+
+# ---- the plain-decimal path ----------------------------------------------------
+
+needs_plain_path = pytest.mark.skipif(
+    not matrixio._PLAIN_PATH, reason="np.longdouble is not the x87 80-bit type"
+)
+
+
+def read_plain(cells, width):
+    """_read_plain_decimal on cells laid out width to a row; also float() of each cell."""
+    rows = [",".join(cells[i:i + width]) for i in range(0, len(cells), width)]
+    got = matrixio._read_plain_decimal(io.BytesIO(("\n".join(rows) + "\n").encode()))
+    assert got is not None
+    return got, np.array([float(c) for c in cells]).reshape(got.shape)
+
+
+@needs_plain_path
+def test_plain_powers_of_ten_are_exact():
+    assert [int(p) for p in matrixio._POW10] == [10**k for k in range(28)]
+
+
+@needs_plain_path
+def test_plain_path_reads_each_form_as_float():
+    cells = [
+        "0", "-0", "-0.0", "0.0", "007", "-007.50", "000.000", "1.", "-1.", ".5", "-.5", "5",
+        "123456789012345678", "-12345678901234567.8", "0.123456789012345678",  # 18 digits
+        "1234567890123456789", "-.1234567890123456789", "9223372036854775808",  # 19 digits
+        "99999999999999999999999", "-18446744073709551617", "1" * 300 + ".5",  # saturated
+        "0." + "0" * 26 + "1", "0." + "0" * 27 + "1", "1." + "0" * 40,  # k = 27, 28, 40
+        "9007199254740993", "36028797018963972", "576460752303423552",  # halfway: to even
+        "0.5000000000000000277555756156289135105907917022705078125",  # halfway above 0.5
+        "0.30000000000000004", "1.7976931348623157", "0.1", "0.000123",
+    ]
+    got, want = read_plain(cells, 1)
+    assert got.tobytes() == want.tobytes()
+
+
+def near_halfway_cells(seed=5):
+    """Plain decimals of 16-19 digits within 1e-18 (relative) of a point halfway between
+    two adjacent doubles, on both sides of it, and the point itself where it is short."""
+    rng = np.random.default_rng(seed)
+    doubles = np.concatenate([
+        rng.uniform(0, 1, 300),
+        rng.uniform(1, 1e6, 200),
+        2.0 ** rng.integers(-30, 60, 100),  # the halfway point below a power of two
+        np.nextafter(2.0 ** rng.integers(-30, 60, 100), 0),
+    ])
+    cells = []
+    for d in doubles.tolist():
+        with localcontext(Context(prec=2000)):
+            for lo, hi in ((np.nextafter(d, 0), d), (d, np.nextafter(d, np.inf))):
+                mid = (Decimal(lo) + Decimal(hi)) / 2
+                for digits in (16, 17, 18, 19):
+                    for rounding in (ROUND_FLOOR, ROUND_CEILING):
+                        near = Context(prec=digits, rounding=rounding).plus(mid)
+                        cells.append(format(near, "f"))
+    return cells
+
+
+@needs_plain_path
+def test_plain_path_matches_float_near_halfway_points():
+    cells = near_halfway_cells()
+    got, want = read_plain(cells, 8)
+    assert got.tobytes() == want.tobytes()
+
+
+@needs_plain_path
+def test_plain_path_matches_float_on_random_decimals():
+    rng = np.random.default_rng(11)
+    n = 20000
+    lengths = rng.integers(1, 20, n)
+    digits = rng.integers(0, 10, (n, 19)).astype(str)
+    cells = []
+    for i, length in enumerate(lengths.tolist()):
+        text = "".join(digits[i, :length])
+        point = int(rng.integers(0, min(length, 18) + 1))
+        cell = text[:length - point] + "." + text[length - point:] if point else text
+        cells.append("-" + cell if rng.integers(0, 4) == 0 else cell)
+    got, want = read_plain(cells, 10)
+    assert got.tobytes() == want.tobytes()
+
+
+@needs_plain_path
+def test_file_above_the_threshold_takes_the_plain_path(tmp_path, monkeypatch):
+    read_plain_decimal = matrixio._read_plain_decimal
+    taken = []
+
+    def spy(fh):
+        taken.append(read_plain_decimal(fh))
+        return taken[-1]
+
+    monkeypatch.setattr(matrixio, "_read_plain_decimal", spy)
+    rng = np.random.default_rng(3)
+    p = tmp_path / "m.csv"
+    small = rng.uniform(1e-3, 1, (5, 4))  # %.17g of these needs no exponent
+    write_matrix(p, small)
+    assert read_matrix(p).tobytes() == small.tobytes() and not taken
+    big = rng.uniform(1e-3, 1, (40, 30))
+    big[0, :3] = [0.0, -0.0, 1.0]
+    write_matrix(p, big)
+    assert p.stat().st_size >= matrixio._PLAIN_MIN_BYTES
+    got = read_matrix(p)
+    assert taken and taken[-1] is got
+    assert got.tobytes() == big.tobytes() == oracle_read_matrix(p).tobytes()
+
+
+@needs_plain_path
+@pytest.mark.parametrize("shape", [(1, 9000), (3, 5000), (2000, 2)])
+@pytest.mark.parametrize("final_eol", [True, False])
+def test_plain_path_reads_long_and_short_lines(tmp_path, shape, final_eol):
+    # a line longer than a block is read whole, and so is a last line without a newline
+    vals = np.random.default_rng(13).uniform(1e-3, 1, shape)
+    p = tmp_path / "m.csv"
+    write_matrix(p, vals)
+    if not final_eol:
+        p.write_bytes(p.read_bytes()[:-1])
+    with open(p, "rb") as fh:
+        got = matrixio._read_plain_decimal(fh)
+    assert got.tobytes() == vals.tobytes()
+
+
+def plain_body(rng, rows, width):
+    """rows lines of plain-decimal cells."""
+    forms = ["0", "-0", "1", "0.5", "-.25", "1.", "007.5", "0.30000000000000004",
+             "123456789012345678", "9007199254740993", "0.12345678901234567"]
+    picks = rng.integers(0, len(forms), (rows, width))
+    return [",".join(forms[i] for i in row) for row in picks.tolist()]
+
+
+def replace_first_cell(cell):
+    def edit(lines, i):
+        lines[i] = ",".join([cell] + lines[i].split(",")[1:])
+    return edit
+
+
+# each declined form, made at line i of a large plain-decimal file
+DECLINED = {
+    "exponent": replace_first_cell("1e-3"),
+    "plus sign": replace_first_cell("+0.5"),
+    "space": replace_first_cell(" 0.5"),
+    "empty cell": replace_first_cell(""),
+    "point alone": replace_first_cell("."),
+    "minus alone": replace_first_cell("-"),
+    "minus point": replace_first_cell("-."),
+    "inner minus": replace_first_cell("1-2"),
+    "two minus signs": replace_first_cell("--1"),
+    "two points": replace_first_cell("1.2.3"),
+    "non-ASCII digit": replace_first_cell("\u0663"),
+    "byte order mark": replace_first_cell("\ufeff0.5"),
+    "nan": replace_first_cell("nan"),
+    "beyond float range": replace_first_cell("1" * 400),
+    "blank line": lambda lines, i: lines.insert(i, ""),
+    "whitespace line": lambda lines, i: lines.insert(i, " \t"),
+    "long row": lambda lines, i: lines.__setitem__(i, lines[i] + ",1"),
+    "short row": lambda lines, i: lines.__setitem__(i, lines[i].split(",", 1)[1]),
+    "trailing comma": lambda lines, i: lines.__setitem__(i, lines[i] + ","),
+    # a row split in two, and a cell moved to the next row: the cell count stays the same
+    "split row": lambda lines, i: lines.__setitem__(i, lines[i].replace(",", "\n", 1)),
+    "moved cell": lambda lines, i: lines.__setitem__(
+        slice(i, i + 2), [lines[i].rsplit(",", 1)[0], "0.5," + lines[i + 1]]),
+}
+
+
+@needs_plain_path
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("at", [0, 7, -2])
+@pytest.mark.parametrize("form", sorted(DECLINED))
+def test_declined_forms_read_as_the_line_loop_does(tmp_path, form, at, eol):
+    lines = plain_body(np.random.default_rng(7), matrixio._PLAIN_MIN_BYTES // 20, 4)
+    DECLINED[form](lines, at)
+    p = tmp_path / "m.csv"
+    p.write_bytes((eol.join(lines) + eol).encode())
+    assert p.stat().st_size >= matrixio._PLAIN_MIN_BYTES
+    with open(p, "rb") as fh:
+        assert matrixio._read_plain_decimal(fh) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(read_matrix, p) == outcome(oracle_read_matrix, p)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 6),
+    odd=st.lists(st.tuples(st.floats(0, 1), st.sampled_from(GOOD_CELLS + ODD_CELLS + [""])),
+                 max_size=2),
+    blank=st.booleans(),
+    eol=st.sampled_from(["\n", "\r\n"]),
+    final_eol=st.booleans(),
+)
+def test_large_files_read_as_the_cell_by_cell_parse(
+    tmp_path_factory, seed, width, odd, blank, eol, final_eol
+):
+    rng = np.random.default_rng(seed)
+    lines = plain_body(rng, 2 * matrixio._PLAIN_MIN_BYTES // (8 * width), width)
+    for where, cell in odd:
+        i = int(where * (len(lines) - 1))
+        lines[i] = ",".join([cell] + lines[i].split(",")[1:])
+    if blank:
+        lines.insert(int(rng.integers(0, len(lines))), "")
+    p = tmp_path_factory.mktemp("csv") / "m.csv"
+    p.write_bytes((eol.join(lines) + (eol if final_eol else "")).encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(read_matrix, p) == outcome(oracle_read_matrix, p)

@@ -5,6 +5,8 @@ array operations; every property asserts that the library gives the same
 answer, on matrices whose entries sit on either side of eq_tol.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -158,3 +160,17 @@ def test_classify_is_invariant_under_relabelling(model_class, k, seed, data):
 @example(g=np.array([[1], [2], [0]]))
 def test_genotype_text_matches_the_join(g):
     assert _genotype_text(g) == oracle_genotype_text(g)
+
+
+def test_genotype_text_holds_its_byte_buffer_and_the_text_only():
+    # the digits are written into the byte buffer in place: no int64 temporary of g's
+    # size, and no copy of the bytes besides the text decoded from them
+    g = np.random.default_rng(0).integers(0, 3, (2000, 400))
+    tracemalloc.start()
+    try:
+        text = _genotype_text(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 2 * g.size - 1
+    assert peak < 2.5 * len(text)
