@@ -59,8 +59,18 @@ _MODEL_CLASSES = {
 
 
 def basis_distances(q: np.ndarray) -> np.ndarray:
-    """d[k, i] = max |q[:, i] - e_k|, the distance of each column to each e_k."""
-    return max_abs_distances(np.eye(q.shape[0]), q.T)
+    """d[k, i] = max |q[:, i] - e_k|, the distance of each column to each e_k.
+
+    That is the larger of |q[k, i] - 1| and the largest |q[j, i]| with j != k, which
+    is the column's largest |entry|, or its second largest where q[k, i] is the
+    largest: O(K N), not a distance per pair of entries.
+    """
+    q = np.asarray(q, dtype=float)
+    a = np.abs(q)
+    if len(a) < 2:
+        return np.abs(q - 1)
+    second, first = np.partition(a, -2, axis=0)[-2:]
+    return np.maximum(np.abs(q - 1), np.where(a == first, second, first))
 
 
 def _unadmixed_columns(q: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:

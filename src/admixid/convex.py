@@ -303,15 +303,16 @@ def _successive_projection(points, tol: Tolerance, conic: bool = False):
     reps = np.asarray(first_distinct_rows(p.T, tol, scaled=conic))
     resid = p[:, reps] / p[:, reps].sum(axis=0) if conic else _lifted(p[:, reps])
     norms = np.linalg.norm(resid, axis=0)
+    tmp = np.empty_like(resid)  # the projection, then the squares, in place
     picks: list[int] = []
     while len(picks) < min(resid.shape):
         j = int(np.argmax(norms))
         if picks and norms[j] <= tol.eq_tol:
             break
         u = resid[:, j] / norms[j]
-        resid -= np.outer(u, u @ resid)
+        resid -= np.multiply(u[:, None], u @ resid, out=tmp)
         picks.append(j)
-        norms = np.linalg.norm(resid, axis=0)
+        np.sqrt(np.add.reduce(np.square(resid, out=tmp), axis=0, out=norms), out=norms)
         norms[picks] = 0.0
     return reps.tolist(), sorted(reps[picks].tolist()), float(norms.max())
 

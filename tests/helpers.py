@@ -8,6 +8,7 @@ combinations, rank-deficient row patterns) instead of rejection sampling.
 import numpy as np
 
 from admixid import AdmixtureMatrix, FactorPair, FrequencyMatrix
+from admixid.matrices import first_distinct_rows
 
 
 def dependent_f_values(rng, m, k):
@@ -82,3 +83,25 @@ def pair_from(f_vals, q_vals, tol=None):
     if tol is None:
         return FactorPair(FrequencyMatrix(f_vals), AdmixtureMatrix(q_vals))
     return FactorPair(FrequencyMatrix(f_vals, tol), AdmixtureMatrix(q_vals, tol))
+
+
+def successive_projection_oracle(points, tol, conic=False):
+    """convex._successive_projection with a new outer product and a new norm per pick."""
+    p = np.asarray(points, dtype=float)
+    reps = np.asarray(first_distinct_rows(p.T, tol, scaled=conic))
+    if conic:
+        resid = p[:, reps] / p[:, reps].sum(axis=0)
+    else:
+        resid = np.vstack([p[:, reps], np.ones((1, len(reps)))])
+    norms = np.linalg.norm(resid, axis=0)
+    picks = []
+    while len(picks) < min(resid.shape):
+        j = int(np.argmax(norms))
+        if picks and norms[j] <= tol.eq_tol:
+            break
+        u = resid[:, j] / norms[j]
+        resid -= np.outer(u, u @ resid)
+        picks.append(j)
+        norms = np.linalg.norm(resid, axis=0)
+        norms[picks] = 0.0
+    return reps.tolist(), sorted(reps[picks].tolist()), float(norms.max())

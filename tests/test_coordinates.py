@@ -25,7 +25,12 @@ from admixid import (
 )
 from admixid.conditions import anchor_Q_columns
 from admixid.cones import has_unique_conic_decompositions
-from admixid.convex import _decompositions, has_unique_decompositions, nonneg_lstsq
+from admixid.convex import (
+    _decompositions,
+    _successive_projection,
+    has_unique_decompositions,
+    nonneg_lstsq,
+)
 from admixid.matrices import first_distinct_rows, span_svd
 from admixid.recovery import (
     DecompositionInfeasible,
@@ -34,6 +39,8 @@ from admixid.recovery import (
     ScalingInfeasible,
     _finalize,
 )
+
+from helpers import successive_projection_oracle
 
 TOL = Tolerance()
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -217,6 +224,27 @@ def test_minimal_rows_match_full_space_oracle(seed, size, sigma, gap, copies):
     if sigma:
         assert span_svd(p)[1].size == min(p.shape)
     assert minimal_conic_generating_rows(p, TOL) == oracle_minimal_rows(p, TOL)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(seed=seeds, size=sizes, shape=st.sampled_from(["anchorF", "anchorQ", "unadmixed"]),
+       conic=st.booleans(), sigma=st.sampled_from([0.0, 1e-9, 1e-6, 1e-4]), gap=gaps,
+       copies=st.integers(0, 4), eq_tol=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4]))
+def test_successive_projection_matches_the_outer_product_form(
+    seed, size, shape, conic, sigma, gap, copies, eq_tol
+):
+    # the in-place residual and norm updates give the same picks and rho, bit for bit;
+    # the candidates are P's columns, or with conic its rows, as recovery passes them
+    k, m, n = size
+    tol = Tolerance(eq_tol=eq_tol)
+    rng = np.random.default_rng(seed)
+    p = low_rank_product(rng, k, max(m, k), max(n, k), shape)
+    p = planted_duplicates(rng, p if conic else p.T, copies, gap * eq_tol, conic)
+    p = np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, None)
+    points = p[np.abs(p).max(axis=1) > eq_tol].T if conic else p.T
+    assert _successive_projection(points, tol, conic) == (
+        successive_projection_oracle(points, tol, conic)
+    )
 
 
 def recovery_outcome(recover, pi):

@@ -25,6 +25,7 @@ from admixid import (
     check_distinct_columns,
     unadmixed_dup_column,
 )
+from admixid.conditions import basis_distances
 from admixid.matrices import max_abs, max_abs_distances
 from admixid.recovery import _near_duplicate_warnings
 
@@ -95,6 +96,29 @@ def test_max_abs_distances_equals_the_row_loop():
     loop = [[max_abs(x - y) for y in b] for x in a]
     assert max_abs_distances(a, b).tolist() == loop
     assert max_abs_distances(a, b[:0]).shape == (5, 0)
+
+
+# a few values, so that ties for the largest entry are common; 0 and 1, and beyond them
+BASIS_CELLS = st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.25, 1 - 2.0**-27, 2.0**-27, -0.5, 1.5])
+
+
+@PROPERTY
+@given(k=st.integers(1, 6), n=st.integers(1, 8), data=st.data())
+def test_basis_distances_equal_the_distances_to_the_identity(k, n, data):
+    cells = BASIS_CELLS | st.floats(-2, 2)
+    q = data.draw(hnp.arrays(float, (k, n), elements=cells))
+    assert basis_distances(q).tobytes() == max_abs_distances(np.eye(k), q.T).tobytes()
+
+
+@pytest.mark.parametrize("k,n", [(1, 50), (5, 800), (60, 200)])
+def test_basis_distances_of_anchored_and_tied_columns(k, n):
+    rng = np.random.default_rng(k)
+    q = rng.dirichlet(np.ones(k), n).T
+    q[:, :k] = np.eye(k)  # anchors
+    q[:, k:2 * k] = 1.0 / k  # every entry ties for the largest
+    q[:2, -1] = 0.5  # two tie, the rest are 0
+    q[:, -1][2:] = 0.0
+    assert basis_distances(q).tobytes() == max_abs_distances(np.eye(k), q.T).tobytes()
 
 
 @PROPERTY

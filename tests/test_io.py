@@ -288,11 +288,12 @@ def test_plain_path_reads_each_form_as_float():
     assert got.tobytes() == want.tobytes()
 
 
-def near_halfway_cells(seed=5):
+def near_halfway_cells(seed=5, scale=1.0):
     """Plain decimals of 16-19 digits within 1e-18 (relative) of a point halfway between
-    two adjacent doubles, on both sides of it, and the point itself where it is short."""
+    two adjacent doubles, on both sides of it, and the point itself where it is short.
+    The doubles are scaled by a power of two, which keeps them halfway."""
     rng = np.random.default_rng(seed)
-    doubles = np.concatenate([
+    doubles = scale * np.concatenate([
         rng.uniform(0, 1, 300),
         rng.uniform(1, 1e6, 200),
         2.0 ** rng.integers(-30, 60, 100),  # the halfway point below a power of two
@@ -314,6 +315,63 @@ def near_halfway_cells(seed=5):
 def test_plain_path_matches_float_near_halfway_points():
     cells = near_halfway_cells()
     got, want = read_plain(cells, 8)
+    assert got.tobytes() == want.tobytes()
+
+
+def exponent_forms(cells):
+    """Each plain decimal cell as D e x, with D its significant digits, and as one
+    digit, a point and the rest of them, e +-x."""
+    forms = []
+    for cell in cells:
+        sign, digits, exp = Decimal(cell).normalize().as_tuple()
+        text = "-" * sign + "".join(map(str, digits))
+        forms.append(f"{text}e{exp}")
+        forms.append(f"{text[:sign + 1]}.{text[sign + 1:]}E{exp + len(digits) - 1:+d}")
+    return forms
+
+
+@needs_plain_path
+def test_plain_path_reads_each_exponent_form_as_float():
+    cells = [
+        "1e-5", "1E5", "1e+5", "1.e5", ".5e1", "-.5E-1", "-0e5", "0e-5", "-0.0E+0", "1e0",
+        "1e-0", "2.5e-300", "5e-324", "2.5e-320", "1.7976931348623157e308", "1e-400",
+        "2.8262791613936043e-16", "1.2345678901234567e-05", "-9.8765432109876543e+20",
+        "1e27", "1e-27", "1.5e-26", "123456789012345678e27", "123456789012345678e-27",  # |t| 27
+        "1e28", "1e-28", "1.5e-27", "123456789012345678e28", "123456789012345678e-28",  # |t| 28
+        "0." + "0" * 30 + "1e31", "1" + "0" * 30 + "e-30",  # t = 0 from many digits
+        "123456789012345678e-5", "-123456789012345678e5", "-.123456789012345678e3",  # 18
+        "1234567890123456789e-5", "-1234567890123456789e5", "9223372036854775808e-3",  # 19
+        "99999999999999999999e-3", "1e" + "0" * 30 + "5",  # saturated, long exponent
+        "1e-9223372036854775808", "1e-9223372036854775809", "1e-99999999999999999999",
+    ]
+    got, want = read_plain(cells, 1)
+    assert got.tobytes() == want.tobytes()
+
+
+@needs_plain_path
+def test_plain_path_matches_float_near_halfway_points_with_exponents():
+    # the same cells as above, and others up to 1e39, whose exponents multiply
+    cells = near_halfway_cells() + near_halfway_cells(seed=6, scale=2.0**70)
+    got, want = read_plain(exponent_forms(cells), 8)
+    assert got.tobytes() == want.tobytes()
+
+
+@needs_plain_path
+def test_plain_path_matches_float_on_random_exponent_forms():
+    rng = np.random.default_rng(17)
+    n = 20000
+    lengths = rng.integers(1, 20, n)
+    digits = rng.integers(0, 10, (n, 19)).astype(str)
+    exps = rng.integers(-45, 45, n)
+    cells = []
+    for i, length in enumerate(lengths.tolist()):
+        text = "".join(digits[i, :length])
+        point = int(rng.integers(0, length + 1))
+        cell = text[:length - point] + "." + text[length - point:] if point else text
+        mark = "eE"[rng.integers(0, 2)] + ["", "+", "-"][rng.integers(0, 3)]
+        cell += mark + str(abs(int(exps[i]))) if mark[1:] else mark + str(int(exps[i]))
+        cells.append("-" + cell if rng.integers(0, 4) == 0 else cell)
+    got, want = read_plain(cells, 10)
     assert got.tobytes() == want.tobytes()
 
 
@@ -358,6 +416,24 @@ def test_file_above_the_threshold_takes_the_plain_path(tmp_path, monkeypatch):
 
 
 @needs_plain_path
+def test_written_file_with_exponents_takes_the_plain_path(tmp_path):
+    # a recovered Q: roundoff dust where the true entry is 0, and other small values
+    rng = np.random.default_rng(23)
+    q = rng.dirichlet(np.ones(5), 400).T
+    q[:, :5] = np.eye(5)
+    q[rng.random(q.shape) < 0.01] = 2.8262791613936043e-16
+    q[0, 300:310] = rng.uniform(1e-9, 1e-4, 10)
+    # and whatever else %.17g prints with an exponent
+    q[1, 300:308] = [5e-324, -2.5e-310, 1e-300, 1.7976931348623157e308, -1e300, 1e17, 1e22, -1e23]
+    p = tmp_path / "Q.csv"
+    write_matrix(p, q)
+    assert b"e-" in p.read_bytes() and p.stat().st_size >= matrixio._PLAIN_MIN_BYTES
+    with open(p, "rb") as fh:
+        got = matrixio._read_plain_decimal(fh)
+    assert got.tobytes() == q.tobytes() == read_matrix(p).tobytes()
+
+
+@needs_plain_path
 @pytest.mark.parametrize("shape", [(1, 9000), (3, 5000), (2000, 2)])
 @pytest.mark.parametrize("final_eol", [True, False])
 def test_plain_path_reads_long_and_short_lines(tmp_path, shape, final_eol):
@@ -372,10 +448,13 @@ def test_plain_path_reads_long_and_short_lines(tmp_path, shape, final_eol):
     assert got.tobytes() == vals.tobytes()
 
 
-def plain_body(rng, rows, width):
+PLAIN_FORMS = ["0", "-0", "1", "0.5", "-.25", "1.", "007.5", "0.30000000000000004",
+               "123456789012345678", "9007199254740993", "0.12345678901234567"]
+EXPONENT_FORMS = ["1e-5", "-2.5E+7", ".5e1", "2.8262791613936043e-16", "-0e5"]
+
+
+def plain_body(rng, rows, width, forms=PLAIN_FORMS):
     """rows lines of plain-decimal cells."""
-    forms = ["0", "-0", "1", "0.5", "-.25", "1.", "007.5", "0.30000000000000004",
-             "123456789012345678", "9007199254740993", "0.12345678901234567"]
     picks = rng.integers(0, len(forms), (rows, width))
     return [",".join(forms[i] for i in row) for row in picks.tolist()]
 
@@ -388,7 +467,15 @@ def replace_first_cell(cell):
 
 # each declined form, made at line i of a large plain-decimal file
 DECLINED = {
-    "exponent": replace_first_cell("1e-3"),
+    "exponent without digits": replace_first_cell("1e"),
+    "exponent sign without digits": replace_first_cell("1e+"),
+    "exponent without a number": replace_first_cell("e5"),
+    "exponent with a point": replace_first_cell("1e5.5"),
+    "two exponent marks": replace_first_cell("1ee5"),
+    "two exponent signs": replace_first_cell("1e-+5"),
+    "space in the exponent": replace_first_cell("1e 5"),
+    "sign after exponent digits": replace_first_cell("1e5-3"),
+    "exponent beyond float range": replace_first_cell("1e400"),
     "plus sign": replace_first_cell("+0.5"),
     "space": replace_first_cell(" 0.5"),
     "empty cell": replace_first_cell(""),
@@ -414,21 +501,63 @@ DECLINED = {
 }
 
 
+def edited_file(tmp_path, edit, at, eol, forms=PLAIN_FORMS):
+    """A large file of plain-decimal cells, edited at line at; its plain-path read."""
+    lines = plain_body(np.random.default_rng(7), matrixio._PLAIN_MIN_BYTES // 20, 4, forms)
+    edit(lines, at)
+    p = tmp_path / "m.csv"
+    p.write_bytes((eol.join(lines) + eol).encode())
+    assert p.stat().st_size >= matrixio._PLAIN_MIN_BYTES
+    with open(p, "rb") as fh:
+        return p, matrixio._read_plain_decimal(fh)
+
+
+def read_as_the_line_loop(p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(read_matrix, p)
+    assert got == outcome(oracle_read_matrix, p)
+    return got
+
+
 @needs_plain_path
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
 @pytest.mark.parametrize("at", [0, 7, -2])
 @pytest.mark.parametrize("form", sorted(DECLINED))
 def test_declined_forms_read_as_the_line_loop_does(tmp_path, form, at, eol):
-    lines = plain_body(np.random.default_rng(7), matrixio._PLAIN_MIN_BYTES // 20, 4)
-    DECLINED[form](lines, at)
-    p = tmp_path / "m.csv"
-    p.write_bytes((eol.join(lines) + eol).encode())
-    assert p.stat().st_size >= matrixio._PLAIN_MIN_BYTES
-    with open(p, "rb") as fh:
-        assert matrixio._read_plain_decimal(fh) is None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert outcome(read_matrix, p) == outcome(oracle_read_matrix, p)
+    p, plain = edited_file(tmp_path, DECLINED[form], at, eol)
+    assert plain is None
+    read_as_the_line_loop(p)
+
+
+@needs_plain_path
+@pytest.mark.parametrize("at", [0, 7, -2])
+@pytest.mark.parametrize("form", sorted(DECLINED))
+def test_declined_forms_among_exponent_cells(tmp_path, form, at):
+    forms = PLAIN_FORMS + EXPONENT_FORMS
+    p, plain = edited_file(tmp_path, DECLINED[form], at, "\n", forms)
+    assert plain is None
+    read_as_the_line_loop(p)
+
+
+# one exponent cell, made at line i of a large plain-decimal file
+EXPONENT_CELLS = {
+    "exponent": "1e-3",
+    "capital exponent": "-2.5E+7",
+    "roundoff dust": "2.8262791613936043e-16",
+}
+
+
+@needs_plain_path
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("at", [0, 7, -2])
+@pytest.mark.parametrize("form", sorted(EXPONENT_CELLS))
+def test_exponent_forms_read_as_the_line_loop_does(tmp_path, form, at, eol):
+    # a CR line end still declines the file
+    p, plain = edited_file(tmp_path, replace_first_cell(EXPONENT_CELLS[form]), at, eol)
+    got = read_as_the_line_loop(p)
+    assert (plain is None) == (eol == "\r\n")
+    assert plain is None or plain.tobytes() == got[2]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
