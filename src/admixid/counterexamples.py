@@ -37,6 +37,7 @@ from .matrices import (
     max_abs_distances,
     null_space_vector,
 )
+from .matrixio import _json_rows
 
 __all__ = [
     "PreconditionViolated",
@@ -92,6 +93,13 @@ class CounterexamplePair:
         def pair_dict(p: FactorPair) -> dict:
             return {"F": p.F.values.tolist(), "Q": p.Q.values.tolist()}
 
+        return {
+            **self._head(),
+            "original": pair_dict(self.original),
+            "alternative": pair_dict(self.alternative),
+        }
+
+    def _head(self) -> dict:
         params = {}
         for key, val in self.parameters.items():
             params[key] = val.tolist() if isinstance(val, np.ndarray) else val
@@ -99,40 +107,43 @@ class CounterexamplePair:
             "construction": self.construction,
             "parameters": params,
             "product_gap": self.product_gap,
-            "original": pair_dict(self.original),
-            "alternative": pair_dict(self.alternative),
         }
 
     def to_json(self, indent: int | None = 2) -> str:
         """json.dumps(self.to_dict(), indent=indent), byte for byte.
 
-        json indents with its pure-Python encoder, so each matrix goes
-        through the C encoder unindented and is laid out afterwards.
+        The four matrices are written unindented by one matrixio._json_rows call
+        (a vectorized exact repr on large matrices, json's C encoder on small
+        ones) and laid out afterwards; json.dumps writes the rest.
         """
-        data = self.to_dict()
+        pairs = {"original": self.original, "alternative": self.alternative}
+        rows = iter(_json_rows([m.values for p in pairs.values() for m in (p.F, p.Q)]))
         if indent is None:
-            return json.dumps(data)
-        pairs = {key: data.pop(key) for key in ("original", "alternative")}
+            body = "".join(
+                f', "{key}": {{"F": [[{next(rows)}]], "Q": [[{next(rows)}]]}}'
+                for key in pairs
+            )
+            return json.dumps(self._head())[:-1] + body + "}"
         ind = " " * indent
         # the head is a nonempty dict, so its text ends in "\n}"
-        parts = [json.dumps(data, indent=indent)[:-2]]
-        for key, pair in pairs.items():
+        parts = [json.dumps(self._head(), indent=indent)[:-2]]
+        for key in pairs:
             body = ",".join(
-                f'\n{ind * 2}"{name}": {_indented_matrix(rows, ind, 2)}'
-                for name, rows in pair.items()
+                f'\n{ind * 2}"{name}": {_indented_matrix(next(rows), ind, 2)}'
+                for name in ("F", "Q")
             )
             parts.append(f',\n{ind}"{key}": {{{body}\n{ind}}}')
         return "".join(parts) + "\n}"
 
 
-def _indented_matrix(rows: list, ind: str, depth: int) -> str:
-    """json.dumps(rows, indent=len(ind)) for a nonempty float matrix at depth.
+def _indented_matrix(text: str, ind: str, depth: int) -> str:
+    """json.dumps(rows, indent=len(ind)) at depth for the text of a nonempty float
+    matrix from _json_rows: json.dumps(rows)[2:-2].
 
-    Unindented, such a matrix reads [[a, b], [c, d]]: only brackets, ", "
-    and float reprs, so two replaces, "], [" first, give json's layout.
+    That text holds only ", " between cells, "], [" between rows and float reprs, so
+    two replaces, "], [" first, give json's layout.
     """
     outer, row, cell = ("\n" + ind * (depth + i) for i in range(3))
-    text = json.dumps(rows)[2:-2]
     text = text.replace("], [", f"{row}],{row}[{cell}").replace(", ", f",{cell}")
     return f"[{row}[{cell}{text}{row}]{outer}]"
 

@@ -12,11 +12,32 @@ gives. This path needs np.longdouble to be the x87 80-bit type (x86-64).
 Every other file goes to np.loadtxt; one it fails on, finds empty or not
 finite goes to a line loop of float() calls, which reports the 1-based line
 and column of the error.
+
+write_matrix writes each cell as "%.17g" % x, and _json_rows a report's
+matrices as json.dumps writes them (repr(x)). From _G17_MIN_CELLS and
+_REPR_MIN_CELLS cells on, unless two thirds of them are whole numbers, and on
+the same x87 platform, one vectorized pass over blocks of cells does it,
+under this certificate. A finite normal cell with decimal exponent e is
+scaled to s = |x| * 10**(16 - e) by one long-double multiplication or
+division by an exact 10**|k|, |k| <= 27, so s is within half a 64-bit ulp,
+at most 2**-64 s, of its exact value. Its 17 digits are D = rint(s) unless s
+lies outside [1e16, 1e17) (e from log10 was off by one) or within that bound
+of a tie. For repr, the integers c with
+s - h_below < c < s + h read back as x, h = 2**(E - 54) * 10**(16 - e) being
+half an ulp of x in units of s (h_below = h / 2 at a power of two, whose
+lower neighbour is nearer); the shortest is the multiple of 100 among them if
+there is one (there is at most one), else the multiple of 10 nearest to s,
+else D, unless an end of the interval lies within the bound of an integer.
+Python formats whatever the certificate leaves: those cells, and the
+subnormal, non-finite and out-of-range ones (0 is exact). Each cell is laid
+out in a fixed-width field of NUL-padded bytes, and one bytes.translate
+deletes the NULs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import warnings
@@ -64,6 +85,34 @@ _FOLLOWS[:, :, _EXP, :] = _FOLLOWS[:, :, _COMMA, :]  # the mark ends digits as "
 _FOLLOWS[_EXP, :, _EXP_SIGN, 0] = True
 _FOLLOWS[_EXP:_EXP_SIGN + 1, :, _SEP, 1] = True  # the exponent's digits
 _FOLLOWS = _FOLLOWS.ravel()  # index: _STATES * state before + state, state = 2 * code + digits
+
+# the writer's 10**-27 ... 10**27 as doubles, within an ulp
+_POW10_F = np.concatenate([1 / _POW10[:0:-1], _POW10]).astype(float)  # index k + 27
+_MIN_NORMAL = np.finfo(float).tiny
+_MAX_FLOAT = np.finfo(float).max
+# below these cell counts "%.17g" % row and json.dumps are the faster writers (_vectorized)
+_G17_MIN_CELLS = 512
+_REPR_MIN_CELLS = 640
+# a block's largest temporaries, its text fields (at most 40 bytes a cell) and the
+# long doubles (16), stay under 128 KiB
+_TEXT_BLOCK_CELLS = 3072
+# a cell's field: its sign and "0.000" prefix (7 bytes), 17 digits and a point (18), the
+# exponent (4); _BODY bytes in all, then its separator, padded to a multiple of 8
+_BODY = 29
+_q = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+_chars = (_q + ord("0")).astype(np.uint8)
+_kept = np.flip(np.logical_or.accumulate(np.flip(_q != 0, 1), 1), 1)
+# four digits in a uint32: rows 0-9999 in full, rows 10000-19999 with trailing zeros NUL
+_DIGIT_GROUPS = np.concatenate([_chars, _chars * _kept]).view(np.uint32).ravel()
+del _q, _chars, _kept
+_ZEROS = np.tri(18, 17, -1, np.uint8) * np.uint8(ord("0"))  # row m: m zeros
+_BEFORE = np.tri(17, 18, 0, bool)  # row P: the bytes up to index P
+_SIGN_PREFIX = np.zeros((2, 6, 8), np.uint8)
+_SIGN_PREFIX[1, :, 0] = ord("-")
+_SIGN_PREFIX[:, :, 1:6] = np.tri(6, 5, -1, np.uint8) * np.frombuffer(b"0.000", np.uint8)
+_SIGN_PREFIX = _SIGN_PREFIX.view(np.uint64).ravel()  # index: 6 * negative + prefix length
+_PREFIX_LENGTH = np.array([0, 5, 4, 3, 2, 0])  # of "0.000" by exponent, from -5 to 0
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 
 class ParseError(ValueError):
@@ -269,6 +318,176 @@ def write_matrix(path, values) -> None:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ShapeError("write_matrix expects a 2-D array")
+    if _vectorized([arr], _G17_MIN_CELLS):
+        with open(path, "wb") as fh:
+            fh.writelines(_float_text([arr], (b",", b"\n", b"\n"), shortest=False))
+        return
     fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(fmt % tuple(row) for row in arr.tolist()))
+
+
+def _json_rows(matrices: list) -> list[str]:
+    """json.dumps(m.tolist())[2:-2] of each nonempty 2-D float matrix: its rows, cells
+    joined by ", " and rows by "], [", without the outer brackets."""
+    if _vectorized(matrices, _REPR_MIN_CELLS):
+        text = b"".join(_float_text(matrices, (b", ", b"], [", b"\n"), shortest=True))
+        return text.decode("ascii").split("\n")[:-1]
+    return [json.dumps(m.tolist())[2:-2] for m in matrices]
+
+
+def _vectorized(matrices: list, min_cells: int) -> bool:
+    """Whether the vectorized writer pays: from min_cells cells on, unless two thirds
+    of them or more are whole numbers, which Python writes in a few digits and fast."""
+    size = sum(m.size for m in matrices)
+    if not (_PLAIN_PATH and size >= min_cells):
+        return False
+    with np.errstate(invalid="ignore"):  # rint of nan
+        whole = sum(np.count_nonzero(m == np.rint(m)) for m in matrices)
+    return 3 * whole < 2 * size
+
+
+def _float_text(matrices: list, seps: tuple, shortest: bool):
+    """The cells of the nonempty matrices in blocks of text: each cell as "%.17g" % x,
+    or as json.dumps(x) when shortest, followed by seps[0], by seps[1] at a row end and
+    by seps[2] at a matrix end."""
+    flat = np.concatenate([np.ravel(m) for m in matrices])
+    code = np.zeros(flat.size, np.uint8)
+    end = 0
+    for m in matrices:
+        start, end = end, end + m.size
+        code[start + m.shape[1] - 1:end:m.shape[1]] = 1
+        code[end - 1] = 2
+    width = max(map(len, seps))
+    table = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in seps), np.uint8)
+    table = table.reshape(3, width)
+    for i in range(0, flat.size, _TEXT_BLOCK_CELLS):
+        block = slice(i, i + _TEXT_BLOCK_CELLS)
+        yield _format_block(flat[block], code[block], table, shortest)
+
+
+def _format_block(x: np.ndarray, code: np.ndarray, seps: np.ndarray, shortest: bool) -> bytes:
+    """The text of the cells x, each followed by its separator seps[code]."""
+    n = len(x)
+    zero = x == 0
+    D, X, ok = _decimal_digits(x, shortest)
+    D[zero] = 0
+    X[zero] = 0
+    # X is the decimal exponent: plain notation from 1e-4 up to 1e17 ("%.17g") or 1e16
+    # (repr), with the point after the digit at index X, and repr writes x.0
+    plain = (X >= -4) & (X < 17 - shortest)
+    point = np.where(plain, X, 0)
+    out = np.zeros((n, -(-(_BODY + seps.shape[1]) // 8) * 8), np.uint8)
+    # bytes 0-6: the sign, then "0." and up to three zeros before the digits of a cell
+    # below 1; byte 7: D's first digit; bytes 8-23: its other 16, as four groups of four
+    out.view(np.uint64)[:, 0] = _SIGN_PREFIX.take(
+        _PREFIX_LENGTH.take(X + 5, mode="clip") + 6 * np.signbit(x)
+    )
+    high = D // 10**8
+    low = D - high * 10**8
+    groups = np.empty((4, n), np.uint32)  # the last group first
+    groups[1] = low // 10**4
+    groups[0] = low - groups[1] * 10**4
+    groups[3] = high // 10**4
+    groups[2] = high - groups[3] * 10**4
+    np.add(groups[3] // 10**4, ord("0"), out=out[:, 7], casting="unsafe")
+    groups[3] %= 10**4
+    # a group with only zeros after it takes the table row that turns its trailing
+    # zeros into NUL
+    zeros_after = groups[:3] == 0
+    zeros_after[1] &= zeros_after[0]
+    zeros_after[2] &= zeros_after[1]
+    groups[1:] += zeros_after * np.uint32(10000)
+    groups[0] += 10000
+    out.view(np.uint32)[:, 2:6] = _DIGIT_GROUPS.take(groups)[::-1].T
+    digits = out[:, 7:25]
+    whole = np.flatnonzero(plain & (X >= 0))
+    if len(whole):
+        digits[whole, :17] |= _ZEROS.take(X[whole] + 1 + shortest, axis=0)
+    # a point where a digit follows it: the digits after it move one byte on
+    dot = np.flatnonzero((point >= 0) & (point < 16))
+    dot = dot[digits[dot, point[dot] + 1] != 0]
+    if len(dot):
+        at = point[dot]
+        shifted = np.zeros((len(dot), 19), np.uint8)
+        shifted[:, 1:] = digits[dot]
+        field = np.where(_BEFORE.take(at, axis=0), shifted[:, 1:], shifted[:, :18])
+        field[np.arange(len(dot)), at + 1] = ord(".")
+        digits[dot] = field
+    # bytes 25-28: the exponent, "e" and a sign and two digits (|X| < 100 here)
+    sci = np.flatnonzero(~plain)
+    if len(sci):
+        exp = X[sci]
+        text = _DIGIT_GROUPS.take(np.abs(exp)).view(np.uint8).reshape(-1, 4).copy()
+        text[:, 0] = ord("e")
+        text[:, 1] = np.where(exp < 0, ord("-"), ord("+"))
+        out[sci, 25:29] = text
+    out[:, _BODY:_BODY + seps.shape[1]] = seps.take(code, axis=0)
+    fallback = np.flatnonzero(~(ok | zero))
+    if len(fallback):
+        cells = x[fallback].tolist()
+        if shortest:
+            cells = json.dumps(cells)[1:-1].split(", ")
+        fmt = f"%-{_BODY}s" if shortest else f"%-{_BODY}.17g"
+        pad = (fmt * len(cells) % tuple(cells)).encode("ascii").translate(_SPACE_TO_NUL)
+        out[fallback, :_BODY] = np.frombuffer(pad, np.uint8).reshape(-1, _BODY)
+    return out.tobytes().translate(None, b"\0")
+
+
+def _decimal_digits(x: np.ndarray, shortest: bool):
+    """(D, X, ok): where ok, |x| reads D * 10**(X - 16) with D in [10**16, 10**17),
+    rounded to 17 significant digits, or to the fewest that read back as x (trailing
+    zeros after them) when shortest."""
+    a = np.abs(x)
+    ok = (a >= _MIN_NORMAL) & (a <= _MAX_FLOAT)  # neither 0, subnormal nor inf or nan
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)  # may be off by one next to a power of 10
+    k = 16 - e
+    s = a.astype(np.longdouble) * _POW10.take(k, mode="clip")
+    if k.min() < 0:
+        s /= _POW10.take(-k, mode="clip")
+    rounded = np.rint(s)
+    # s outside [1e16, 1e17) means e was off by one; s == 1e16 is exact, since no double
+    # next to a power of ten comes within 2**-10 of it in these units (test_io)
+    ok &= (s >= 1e16) & (s < 1e17)
+    delta = (rounded - s).astype(float)  # D - s: exact, then rounded to 53 bits
+    s = s.astype(float)
+    d = np.abs(delta)
+    # s is within half an ulp of |x| * 10**k, at most 2**(E - 65) for s below 2**E (and
+    # the copies in doubles are off by much less than 2**-47)
+    bound = np.ldexp(1.0, np.frexp(s)[1] - 65) + 2.0**-47
+    ok &= (np.abs(k) <= 27) & (0.5 - d > bound)
+    D = D_17 = np.where(ok, rounded, 0).astype(np.int64)
+    X = e + (D == 10**17)
+    if shortest:
+        # the integers c with s - h_below < c < s + h read back as x: h is half an ulp of
+        # x in units of s, and h_below is h/2 at a power of two, where the spacing below
+        # is half the spacing above. Of them, the shortest is a multiple of 100 if one
+        # lies within (there is at most one), else the multiple of 10 nearest to s if
+        # one lies within, else D; its trailing zeros are dropped when it is laid out.
+        frac, E = np.frexp(a)
+        h = np.ldexp(_POW10_F.take(k + 27, mode="clip"), E - 54)
+        h_below = np.where(frac == 0.5, h / 2, h)
+        lo = delta + h_below  # D - (s - h_below)
+        hi = h - delta  # (s + h) - D
+        below = np.floor(lo)
+        above = np.floor(hi)
+        # D lies within, as h_below > 0.55 (h > s * 2**-54); neither end may lie within
+        # the bound of an integer
+        half = 0.5 - bound
+        ok &= (np.abs(lo - below - 0.5) < half) & (np.abs(hi - above - 0.5) < half)
+        with np.errstate(invalid="ignore"):  # cells not ok may be far from any int64
+            H = D + above.astype(np.int64)
+            room = (below + above).astype(np.int64)  # the candidates are H - room ... H
+        r1 = H - H // 10 * 10
+        r2 = H - H // 100 * 100
+        D = np.where(r2 <= room, H - r2, np.where(r1 <= room, H - r1, D))
+        two = np.flatnonzero((r1 + 10 <= room) & (r2 > room))  # two multiples of 10
+        if len(two):
+            off = (D[two] - D_17[two]) + delta[two]  # the upper one minus s
+            ok[two[np.abs(off - 5) <= bound[two]]] = False
+            D[two] -= 10 * (off > 5)
+        D = np.where(ok, D, 0)  # no digits of any size from the cells left to Python
+        X = e + (D == 10**17)
+    D[D == 10**17] = 10**16
+    return D, X, ok

@@ -117,6 +117,20 @@ def _near_duplicate_warnings(vectors: np.ndarray, kind: str, tol: Tolerance) -> 
     ]
 
 
+def _conditioning_warnings(gens: np.ndarray, kind: str, conic: bool, tol: Tolerance) -> list[str]:
+    # the decompositions solve over gens, lifted by a row of ones for convex
+    # weights, so they and Q are fixed only to about cond * eps
+    cond = np.linalg.cond(gens if conic else _lifted(gens))
+    spread = cond * np.finfo(float).eps
+    if not spread > tol.eq_tol:
+        return []
+    lifted = "" if conic else " (lifted by a row of ones)"
+    return [
+        f"recovered {kind}s have condition number {cond:.3g}{lifted}, so Q is "
+        f"fixed only to about {spread:.3g}, more than eq_tol"
+    ]
+
+
 def _finalize(
     pi: ExpectedFreqMatrix,
     f_vals: np.ndarray,
@@ -263,6 +277,7 @@ def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
             break
     f_vals, q_vals = (weights.T.copy(), gens.T) if conic else (gens, weights)
     warnings = _near_duplicate_warnings(targets[:, kept].T, kind, tol)
+    warnings += _conditioning_warnings(gens, kind, conic, tol)
     return _finalize(pi, f_vals, q_vals, "anchorF" if conic else "anchorQ", tol, warnings)
 
 

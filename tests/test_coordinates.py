@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import lsq_linear
 
 from admixid import (
     ExpectedFreqMatrix,
@@ -272,6 +273,29 @@ def test_recover_anchor_Q_matches_the_sweep(seed, size, anchors, sigma, gap, cop
     p = planted_duplicates(rng, p.T, copies, gap * TOL.eq_tol, False).T
     pi = ExpectedFreqMatrix(np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, 1.0))
     assert recovery_outcome(recover_anchor_Q, pi) == recovery_outcome(oracle_recover_anchor_Q, pi)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(seed=seeds, size=sizes, gap=st.floats(1.0, 3.0), copies=st.integers(1, 4))
+def test_recover_anchor_Q_warns_wherever_another_solver_finds_another_Q(seed, size, gap, copies):
+    # near-duplicate columns a few eq_tol apart become picks that leave the lifted F
+    # ill-conditioned; BVLS in the full space then finds a Q more than eq_tol away
+    # from the recovered one only where the conditioning warning names it
+    k, m, n = size
+    rng = np.random.default_rng(seed)
+    p = low_rank_product(rng, k, max(m, k), max(n, k), "anchorQ")
+    p = planted_duplicates(rng, p.T, copies, gap * TOL.eq_tol, False).T
+    pi = ExpectedFreqMatrix(np.clip(p, 0.0, 1.0))
+    try:
+        rec = recover_anchor_Q(pi, TOL)
+    except RecoveryError:
+        return
+    lifted_f, lifted_p = (np.vstack([a, np.ones(a.shape[1])]) for a in (rec.F.values, pi.values))
+    other = np.column_stack([
+        lsq_linear(lifted_f, col, bounds=(0.0, np.inf), method="bvls").x for col in lifted_p.T
+    ])
+    if max_abs(other - rec.Q.values) > TOL.eq_tol:
+        assert any("condition number" in w for w in rec.warnings)
 
 
 @settings(PROPERTY, max_examples=150)

@@ -1,6 +1,7 @@
 """Constructive counterexample generators and their certificates."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from admixid import (
     unadmixed_dup_column,
     unadmixed_missing_anchor,
 )
+from admixid import matrixio
 from admixid.matrices import max_abs
 
 DELTA_GRID = [round(0.05 * i, 2) for i in range(1, 10)]
@@ -473,26 +475,66 @@ def test_to_json_default_indent_is_two():
 SPECIAL_VALUES = [0.0, 1.0, 5e-324, 1e-05, 1 / 3, float(np.nextafter(1.0, 0.0))]
 
 
+def certificate_fallbacks(count=12, seed=11):
+    """Doubles in (0, 1) that the vectorized repr leaves to json.dumps: too near a tie or
+    an end of their rounding interval for its error bound to decide."""
+    if not matrixio._PLAIN_PATH:
+        return []
+    x = np.random.default_rng(seed).uniform(size=20000)
+    return x[~matrixio._decimal_digits(x, True)[2]][:count].tolist()
+
+
+def unit_interval_double(bits):
+    """The double of a bit pattern folded into [0, 1): any exponent below 0, subnormals too."""
+    return float(np.array([bits % (1023 << 52)], np.uint64).view(np.float64)[0])
+
+
+unit_cells = st.one_of(
+    st.sampled_from(SPECIAL_VALUES + certificate_fallbacks()),
+    st.integers(0, 2**62).map(unit_interval_double),
+)
+
+
 @st.composite
 def special_pairs(draw):
-    """Pairs of 1 x 1, 1 x N, M x 1 or M x N matrices over SPECIAL_VALUES."""
+    """Pairs of 1 x 1, 1 x N, M x 1 or M x N matrices over special, fallback and
+    random-bit-pattern values."""
     m, k, n = (draw(st.sampled_from([1, 3])) for _ in range(3))
-    cell = st.sampled_from(SPECIAL_VALUES)
-    f = np.array([[draw(cell) for _ in range(k)] for _ in range(m)])
+    f = np.array([[draw(unit_cells) for _ in range(k)] for _ in range(m)])
     # column-stochastic: each column is (v, 1 - v, 0, ...) for K > 1
     q = np.zeros((k, n))
     q[0] = 1.0
     if k > 1:
-        q[0] = [draw(cell) for _ in range(n)]
+        q[0] = [draw(unit_cells) for _ in range(n)]
         q[1] = 1.0 - q[0]
     return FactorPair(fmat(f), qmat(q)), FactorPair(fmat(f[::-1]), qmat(q))
 
 
 @settings(max_examples=150, deadline=None)
-@given(special_pairs(), st.sampled_from(INDENTS), st.sampled_from(SPECIAL_VALUES))
-def test_to_json_bytes_over_special_values_and_thin_shapes(pairs, indent, value):
+@given(special_pairs(), st.sampled_from(INDENTS), st.sampled_from(SPECIAL_VALUES),
+       st.booleans())
+def test_to_json_bytes_over_special_values_and_thin_shapes(pairs, indent, value, vectorized):
     original, alternative = pairs
     pair = CounterexamplePair(
         original, alternative, "special", {"v": np.array([value, -value]), "k": 0}, value,
     )
+    # the vectorized repr serves a report of any size and content where the platform has it
+    with mock.patch.object(matrixio, "_vectorized",
+                           lambda matrices, min_cells: vectorized and matrixio._PLAIN_PATH):
+        assert pair.to_json(indent) == json.dumps(pair.to_dict(), indent=indent)
+
+
+@pytest.mark.parametrize("indent", INDENTS)
+def test_to_json_bytes_of_a_large_random_bit_pattern_report(indent):
+    # above the size where the vectorized repr takes over, in several blocks
+    rng = np.random.default_rng(29)
+    f = (rng.integers(0, 2**62, size=(1500, 3), dtype=np.uint64) % (1023 << 52)).view(np.float64)
+    f[rng.integers(0, 1500, size=40), 0] = certificate_fallbacks(40) or 0.5
+    q = rng.uniform(size=(3, 900))
+    q /= q.sum(axis=0)
+    q[:, :3] = np.eye(3)
+    pair = CounterexamplePair(
+        FactorPair(fmat(f), qmat(q)), FactorPair(fmat(f[::-1]), qmat(q)), "bits", {}, 0.0
+    )
+    assert matrixio._vectorized([f, q, f, q], matrixio._REPR_MIN_CELLS) == matrixio._PLAIN_PATH
     assert pair.to_json(indent) == json.dumps(pair.to_dict(), indent=indent)

@@ -1,8 +1,12 @@
 """CSV matrix reading and writing."""
 
+import contextlib
 import io
+import json
 import warnings
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -585,3 +589,173 @@ def test_large_files_read_as_the_cell_by_cell_parse(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert outcome(read_matrix, p) == outcome(oracle_read_matrix, p)
+
+
+# ---- the vectorized writer -------------------------------------------------------
+
+def g17_text(arr):
+    """The per-cell "%.17g" join that write_matrix must reproduce."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in arr.tolist()).encode()
+
+
+def json_rows_text(matrices):
+    """What _json_rows must reproduce: each matrix's json.dumps without its outer brackets."""
+    return [json.dumps(m.tolist())[2:-2] for m in matrices]
+
+
+def every_size_vectorized():
+    """Send every nonempty matrix, however small or whole, through the vectorized writer."""
+    return mock.patch.object(
+        matrixio, "_vectorized",
+        lambda matrices, min_cells: matrixio._PLAIN_PATH and sum(m.size for m in matrices) > 0,
+    )
+
+
+def assert_written_as_python_does(path, arr):
+    write_matrix(path, arr)
+    assert path.read_bytes() == g17_text(arr)
+    pair = [arr, arr[::-1]]
+    assert matrixio._json_rows(pair) == json_rows_text(pair)
+    if np.isfinite(arr).all():
+        assert read_matrix(path).tobytes() == arr.tobytes()
+
+
+# 17 digits that tie at the 18th ("%.17g" rounds them half to even), exact decimals
+# that tie at shorter lengths, and values that need exactly 1, 11, 15, 16 and 17 digits
+NAMED_VALUES = [
+    0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.125, 0.375, 0.5, 1.0, 2.5, 1e-4,
+    9.999999999999999e-05, 1e-05, 7e-05, 1e-11, 1e-12, 1e15, 1e16, 1e17, 9999999999999998.0,
+    99999999999999999.0, 1e22, 1e23, 1e43, 1e44, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 0.1 + 0.2,
+    123456789012345.125, 123456789012345.375, 1234567890123.0625, 0.28770272205,
+    0.997209935789211, 0.6369616873214543, 0.016527635528529094, 1.7976931348623157e308,
+    123456.0,
+]
+
+
+# the doubles next to each power of ten the vectorized writer handles, where the
+# decimal exponent from log10 may be off by one
+NEXT_TO_POWERS_OF_TEN = [
+    float(np.nextafter(10.0**m, side)) for m in range(-12, 45) for side in (0.0, np.inf)
+]
+
+
+# a power of two has a lower neighbour twice as near as its upper one, so its shortest
+# repr may not be the nearest short decimal (2**64 is 1.8446744073709552e+19)
+POWERS_OF_TWO = [2.0**j for j in range(-40, 150)]
+
+
+@needs_plain_path
+def test_writer_matches_python_on_named_values(tmp_path):
+    vals = np.array(NAMED_VALUES + NEXT_TO_POWERS_OF_TEN + POWERS_OF_TWO)
+    vals = np.concatenate([vals, -vals])
+    with every_size_vectorized():
+        for arr in (vals[None, :], vals[:, None], vals.reshape(2, -1), vals[:-2].reshape(-1, 4)):
+            assert_written_as_python_does(tmp_path / "m.csv", arr)
+
+
+@needs_plain_path
+def test_writer_matches_python_across_blocks(tmp_path):
+    # 7000 cells span three blocks, with row ends inside and at their edges
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2**64, size=7000, dtype=np.uint64).view(np.float64)
+    vals = np.where(rng.uniform(size=7000) < 0.5, rng.uniform(size=7000), bits)
+    vals[rng.integers(0, 7000, size=700)] = rng.choice(NAMED_VALUES, size=700)
+    for width in (1, 7, 1024, 3072):
+        arr = vals[: 7000 // width * width].reshape(-1, width)
+        assert matrixio._vectorized([arr], matrixio._G17_MIN_CELLS)
+        assert_written_as_python_does(tmp_path / "m.csv", arr)
+
+
+@st.composite
+def matrices_of(draw, cells):
+    rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    vals = draw(st.lists(cells, min_size=rows * width, max_size=rows * width))
+    return np.array(vals, dtype=float).reshape(rows, width)
+
+
+raw_doubles = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array([bits], np.uint64).view(np.float64)[0])
+)
+
+
+@needs_plain_path
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(arr=matrices_of(st.floats(allow_nan=False, allow_infinity=False)))
+def test_writer_matches_python_on_any_finite_double(tmp_path_factory, arr):
+    with every_size_vectorized():
+        assert_written_as_python_does(tmp_path_factory.mktemp("w") / "m.csv", arr)
+
+
+@needs_plain_path
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(arr=matrices_of(raw_doubles))
+def test_writer_matches_python_on_raw_bit_patterns(tmp_path_factory, arr):
+    # nan and the infinities among them too ("nan", "inf"; json's NaN, Infinity)
+    with every_size_vectorized():
+        assert_written_as_python_does(tmp_path_factory.mktemp("w") / "m.csv", arr)
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (0, 3), (4, 0), (0, 0)])
+def test_writer_keeps_the_bytes_of_thin_and_empty_shapes(tmp_path, shape, vectorized):
+    # an empty file for 0 x N and M newlines for M x 0, as the per-row format writes
+    arr = np.random.default_rng(3).uniform(size=shape)
+    p = tmp_path / "m.csv"
+    with every_size_vectorized() if vectorized else contextlib.nullcontext():
+        write_matrix(p, arr)
+    assert p.read_bytes() == g17_text(arr)
+    if not arr.size:
+        assert p.read_bytes() == b"\n" * shape[0]
+
+
+@needs_plain_path
+def test_only_large_matrices_of_fractions_take_the_vectorized_writer(tmp_path, monkeypatch):
+    blocks = []
+    real = matrixio._format_block
+    monkeypatch.setattr(matrixio, "_format_block", lambda *a: blocks.append(1) or real(*a))
+    rng = np.random.default_rng(4)
+    write_matrix(tmp_path / "small.csv", rng.uniform(size=(1, matrixio._G17_MIN_CELLS - 1)))
+    matrixio._json_rows([rng.uniform(size=(1, matrixio._REPR_MIN_CELLS - 1))])
+    assert not blocks
+    # nor does a large one of whole numbers, which Python writes faster
+    write_matrix(tmp_path / "whole.csv", np.eye(5)[:, rng.integers(0, 5, size=400)])
+    matrixio._json_rows([np.eye(5)[:, rng.integers(0, 5, size=400)]])
+    assert not blocks
+    write_matrix(tmp_path / "large.csv", rng.uniform(size=(1, matrixio._G17_MIN_CELLS)))
+    matrixio._json_rows([rng.uniform(size=(1, matrixio._REPR_MIN_CELLS))])
+    assert len(blocks) == 2
+
+
+def test_no_double_next_to_a_power_of_ten_scales_to_just_below_1e16():
+    # _decimal_digits takes s == 1e16 as exact: |x| * 10**(16 - e) rounded once to 64
+    # bits. Only a double within half an ulp there (2**-11) of 1e16 could round onto it,
+    # and the nearest doubles to 10**m, for every m the vectorized writer handles, are
+    # either 10**m itself or much farther away
+    for m in range(16 - 27, 16 + 28):
+        near = float(Fraction(10) ** m)
+        for x in (np.nextafter(near, 0.0), near, np.nextafter(near, np.inf)):
+            s = Fraction(float(x)) * Fraction(10) ** (16 - m)
+            assert s == 10**16 or abs(s - 10**16) > Fraction(1, 2**10)
+
+
+def decimal_midpoints(max_digits=4):
+    """Doubles next to short decimals d * 10**p that lie exactly halfway between two
+    doubles: the decimal sits on an end of their rounding intervals, so whether it reads
+    back as them decides the shortest repr (1e23 is the best known)."""
+    out = []
+    for p in range(16, 45):
+        for d in range(1, 10**max_digits):
+            c = d * 10**p
+            half_ulp = 2 ** (c.bit_length() - 54)
+            if d % 10 and c % (2 * half_ulp) == half_ulp:
+                x = float(c)
+                out += [float(np.nextafter(x, 0.0)), x, float(np.nextafter(x, np.inf))]
+    return out
+
+
+@needs_plain_path
+def test_writer_matches_python_at_decimal_midpoints_of_doubles(tmp_path):
+    vals = np.array(decimal_midpoints())
+    assert vals.size > 5000
+    with every_size_vectorized():  # whole numbers all
+        assert_written_as_python_does(tmp_path / "m.csv", vals.reshape(-1, 3))

@@ -71,6 +71,24 @@ def test_anchor_q_near_duplicate_warning():
     assert rec.warnings and "apart" in rec.warnings[0]
 
 
+def test_anchor_q_warns_when_near_duplicate_picks_leave_q_loose():
+    # a fourth vertex 2e-8 from the second: four affinely independent picks, but
+    # the lifted F is so ill-conditioned that Q is pinned only to about 6e-8
+    f = np.array([[0.2, 0.7, 0.4], [0.6, 0.3, 0.8], [0.5, 0.5, 0.1], [0.3, 0.9, 0.6]])
+    q = np.array([[1, 0, 0, 0.2, 0.5], [0, 1, 0, 0.3, 0.25], [0, 0, 1, 0.5, 0.25]])
+    p = f @ q
+    dup = p[:, [1]].copy()
+    dup[0] += 2e-8
+    rec = recover_anchor_Q(pi_of(np.hstack([p, dup])))
+    assert rec.n_pops == 4
+    cond = np.linalg.cond(np.vstack([rec.F.values, np.ones(4)]))
+    assert cond * np.finfo(float).eps > Tolerance().eq_tol
+    assert rec.warnings[1] == (
+        f"recovered columns have condition number {cond:.3g} (lifted by a row of ones), "
+        f"so Q is fixed only to about {cond * np.finfo(float).eps:.3g}, more than eq_tol"
+    )
+
+
 def test_anchor_f_worked_example():
     rec = recover_anchor_F(pi_of([[0.32, 0.56], [0.36, 0.18], [0.5, 0.5]]))
     assert rec.n_pops == 2
