@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .matrices import (
     FactorPair,
     FrequencyMatrix,
     Tolerance,
+    _product_blocks,
 )
 from .matrixio import ParseError, ShapeError, read_matrix, write_matrix
 from .recovery import (
@@ -32,7 +34,7 @@ from .recovery import (
     recover_anchor_Q,
     recover_unadmixed,
 )
-from .simulate import DimensionBound, GenerationFailed, generate_instance, simulate_genotypes
+from .simulate import DimensionBound, GenerationFailed, _genotype_blocks, generate_instance
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -44,6 +46,10 @@ EXIT_PRECONDITION = 5
 _PARSE_ERRORS = (ParseError, ShapeError, FileNotFoundError, IsADirectoryError)
 _DIMENSION_ERRORS = (DimensionMismatch, DimensionBound)
 _PRECONDITION_ERRORS = (cx.PreconditionViolated, GenerationFailed)
+
+# entries of P per block of simulate's stream (1 MiB of doubles): its memory
+# stays a few blocks, whatever the number of loci
+_SIMULATE_BLOCK_CELLS = 2**17
 
 # each regime's recover function, in the order --regime auto tries them; tuples,
 # as in _CONSTRUCTIONS, are where perfbench's tracer finds functions to wrap
@@ -215,18 +221,24 @@ def _cmd_counterexample(args, tol: Tolerance) -> int:
     return EXIT_OK
 
 
-def _genotype_text(g: np.ndarray) -> str:
-    """CSV text of one-digit genotypes in one byte buffer, no final newline."""
+def _genotype_text(g: np.ndarray) -> np.ndarray:
+    """CSV bytes of one-digit genotypes, each row ending in a newline."""
     text = np.full((g.shape[0], 2 * g.shape[1]), ord(","), dtype=np.uint8)
     np.add(g, ord("0"), out=text[:, 0::2], casting="unsafe")
     text[:, -1] = ord("\n")
-    return str(text.reshape(-1)[:-1], "ascii")
+    return text
 
 
 def _cmd_simulate(args, tol: Tolerance) -> int:
     pair = _load_pair(args.f, args.q, tol)
-    genotypes = simulate_genotypes(pair.product(tol), args.seed)
-    _emit(_genotype_text(genotypes.values), args.output)
+    # every check (F, Q, the product's range, the seed) runs before output opens
+    blocks = _product_blocks(pair, _SIMULATE_BLOCK_CELLS, tol)
+    genotypes = _genotype_blocks(blocks, args.seed, pair.n_individuals)
+    sys.stdout.flush()  # text already printed goes before these bytes
+    with open(args.output, "wb") if args.output else nullcontext(sys.stdout.buffer) as fh:
+        for g in genotypes:
+            fh.write(_genotype_text(g))
+        fh.flush()
     return EXIT_OK
 
 

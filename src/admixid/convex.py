@@ -132,11 +132,12 @@ def _fit(coords, target_coords, points, cols, target, unit_sum):
     return w, misfit
 
 
-def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance):
+def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance, qr=None):
     """(weights, misfits): column i the nonnegative weights of column i of targets,
-    misfits[i] their misfit as _fit has it, from one QR and one lstsq. _fit redoes
-    the targets the module docstring names, up to the first past eq_tol."""
-    basis, g_coords = np.linalg.qr(generators)
+    misfits[i] their misfit as _fit has it, from one QR (qr, when the caller has
+    it) and one lstsq. _fit redoes the targets the module docstring names, up
+    to the first past eq_tol."""
+    basis, g_coords = np.linalg.qr(generators) if qr is None else qr
     t_coords = basis.T @ targets
     lift = _lifted if unit_sum else np.asarray
     weights, _, rank, _ = np.linalg.lstsq(lift(g_coords), lift(t_coords), rcond=None)

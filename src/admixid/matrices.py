@@ -129,6 +129,18 @@ def span_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u[:, :r], s[:r], vt[:r]
 
 
+def _check_unit_range(what: str, lo, hi, slack: float) -> None:
+    """Raise unless the range [lo, hi] of the entries of what is finite and
+    within slack of [0, 1]; a NaN or an infinity always shows in lo or hi."""
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"{what} has non-finite entries")
+    if lo < -slack or hi > 1.0 + slack:
+        raise ValueError(
+            f"{what} entries must lie in [0, 1] (within {slack:g}); "
+            f"found range [{lo:g}, {hi:g}]"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class _UnitBoxMatrix:
     """A copy of values, checked 2-D, nonempty, finite and in [0, 1] within
@@ -138,22 +150,13 @@ class _UnitBoxMatrix:
     tol: InitVar[Tolerance | None] = None
 
     def __post_init__(self, tol):
-        slack = (tol or DEFAULT_TOL).eq_tol
         what = self._what
         arr = np.array(self.values, dtype=float, copy=True)
         if arr.ndim != 2:
             raise DimensionMismatch(f"{what} must be 2-D, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch(f"{what} must have at least one row and column")
-        # a NaN or an infinity always shows in the minimum or the maximum
-        lo, hi = arr.min(), arr.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError(f"{what} has non-finite entries")
-        if lo < -slack or hi > 1.0 + slack:
-            raise ValueError(
-                f"{what} entries must lie in [0, 1] (within {slack:g}); "
-                f"found range [{lo:g}, {hi:g}]"
-            )
+        _check_unit_range(what, arr.min(), arr.max(), (tol or DEFAULT_TOL).eq_tol)
         np.clip(arr, 0.0, 1.0, out=arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -258,6 +261,36 @@ def multiply(
             f"Q is {Q.n_pops}x{Q.n_individuals}"
         )
     return ExpectedFreqMatrix(F.values @ Q.values, tol)
+
+
+def _product_blocks(pair: FactorPair, cells: int, tol: Tolerance = DEFAULT_TOL):
+    """(start row, rows of F @ Q) for consecutive blocks of about cells entries,
+    clipped into [0, 1] after multiply's check (and error text) on the range
+    of the whole product, which runs before this returns: a single block is
+    computed once, more blocks twice, one at a time. Block rows are a
+    multiple of 4, and a last block of one row joins the one before it, so
+    no block is a vector product (a BLAS call of another kind) unless F is.
+    """
+    f, q = pair.F.values, pair.Q.values
+    m = f.shape[0]
+    rows = max(4, cells // q.shape[1] // 4 * 4)
+    bounds = [*range(0, m, rows), m]
+    if len(bounds) > 2 and m - bounds[-2] == 1:
+        del bounds[-2]
+    spans = list(zip(bounds, bounds[1:]))
+    whole = f @ q if len(spans) == 1 else None
+    lo, hi = np.inf, -np.inf
+    for a, b in spans:
+        p = f[a:b] @ q if whole is None else whole
+        lo, hi = np.minimum(lo, p.min()), np.maximum(hi, p.max())  # NaN propagates
+    _check_unit_range(ExpectedFreqMatrix._what, lo, hi, tol.eq_tol)
+
+    def blocks():
+        for a, b in spans:
+            p = f[a:b] @ q if whole is None else whole
+            yield a, np.clip(p, 0.0, 1.0, out=p)
+
+    return blocks()
 
 
 def numeric_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -117,10 +117,11 @@ def _near_duplicate_warnings(vectors: np.ndarray, kind: str, tol: Tolerance) -> 
     ]
 
 
-def _conditioning_warnings(gens: np.ndarray, kind: str, conic: bool, tol: Tolerance) -> list[str]:
+def _conditioning_warnings(r: np.ndarray, kind: str, conic: bool, tol: Tolerance) -> list[str]:
     # the decompositions solve over gens, lifted by a row of ones for convex
-    # weights, so they and Q are fixed only to about cond * eps
-    cond = np.linalg.cond(gens if conic else _lifted(gens))
+    # weights, so they and Q are fixed only to about cond * eps; gens = basis r
+    # with orthonormal basis columns, so r (lifted) has the same condition number
+    cond = np.linalg.cond(r if conic else _lifted(r))
     spread = cond * np.finfo(float).eps
     if not spread > tol.eq_tol:
         return []
@@ -178,11 +179,11 @@ def _picks_stand_clear(points, reps, picks, tol: Tolerance) -> bool:
 
 
 def _pass_over(targets: np.ndarray, kept: np.ndarray, tol: Tolerance, conic: bool):
-    """(generators, weights, misfits): the decomposition pass of the columns
+    """(generators, r, weights, misfits): the decomposition pass of the columns
     of targets over its kept columns, or with conic over those scaled by
-    eps, where rays @ eps = all-ones gives Q unit column sums. Raises where
-    the kept columns are dependent (affinely, or linearly with conic) or no
-    positive scaling exists."""
+    eps, where rays @ eps = all-ones gives Q unit column sums; r is the
+    generators' QR factor. Raises where the kept columns are dependent
+    (affinely, or linearly with conic) or no positive scaling exists."""
     gens = targets[:, kept]
     if not (has_unique_conic_decompositions(gens.T, tol) if conic
             else has_unique_decompositions(gens, tol)):
@@ -199,7 +200,8 @@ def _pass_over(targets: np.ndarray, kept: np.ndarray, tol: Tolerance, conic: boo
         if eps.min() <= tol.eq_tol:
             raise ScalingInfeasible(f"column-sum scaling has a nonpositive weight {eps.min():.3g}")
         gens = gens * eps
-    return (gens, *_decompositions(targets, gens, not conic, tol))
+    qr = np.linalg.qr(gens)
+    return (gens, qr[1], *_decompositions(targets, gens, not conic, tol, qr))
 
 
 def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
@@ -240,7 +242,7 @@ def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
     for certify in (clear, False):
         kept = index[picks if certify else _sweep(points, reps, None, tol, not conic)]
         try:
-            gens, weights, misfits = _pass_over(targets, kept, tol, conic)
+            gens, r, weights, misfits = _pass_over(targets, kept, tol, conic)
         except (NonUniqueDecomposition, ScalingInfeasible):
             if not certify:
                 raise
@@ -277,7 +279,7 @@ def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
             break
     f_vals, q_vals = (weights.T.copy(), gens.T) if conic else (gens, weights)
     warnings = _near_duplicate_warnings(targets[:, kept].T, kind, tol)
-    warnings += _conditioning_warnings(gens, kind, conic, tol)
+    warnings += _conditioning_warnings(r, kind, conic, tol)
     return _finalize(pi, f_vals, q_vals, "anchorF" if conic else "anchorQ", tol, warnings)
 
 

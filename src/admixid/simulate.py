@@ -13,6 +13,13 @@ counter: one Philox is reset to key (seed, s) and counter 0 for each row,
 not rebuilt. Rows are drawn in blocks of at most _BLOCK_WORDS uniforms (a
 longer row is a block of its own), and each block is compared against P in
 one array pass.
+
+One engine, _genotype_blocks, draws every genotype: it takes P as a stream
+of (start row, rows) blocks and yields each block's int8 counts in turn.
+simulate_genotypes hands it the whole of an ExpectedFreqMatrix as one
+block; the simulate command hands it blocks of F @ Q computed one at a time
+and writes each block's text before the next, so its memory does not grow
+with the number of loci.
 """
 
 from __future__ import annotations
@@ -90,23 +97,19 @@ class GenotypeMatrix:
         return self.values.shape[1]
 
 
-def simulate_genotypes(pi: ExpectedFreqMatrix, seed: int) -> GenotypeMatrix:
-    """Draw a genotype matrix from the two-Bernoulli model at each cell.
+def _genotype_blocks(blocks, seed: int, n: int):
+    """The int8 genotypes of each (start row, rows of P) block of blocks, in
+    turn, for rows of n probabilities: the stream of the module docstring,
+    which keys row s with (seed, s) whatever block it is in.
 
-    The stream layout documented in the module docstring is part of the
-    contract: per-row Philox keyed with the two words (seed, row index), 2N
-    doubles per row, consecutive pairs per entry. Seeds are integers in
-    [0, 2**64).
+    The seed is checked here, before any block is taken or drawn; the draws
+    are lazy. Seeds are integers in [0, 2**64).
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if seed >= 2**64:
         raise ValueError("seed must be below 2**64, the width of a Philox key word")
-    p = pi.values
-    m, n = p.shape
-    # counts of at most 2; GenotypeMatrix makes the one int64 copy
-    out = np.empty((m, n), dtype=np.int8)
     bit_gen = np.random.Philox(0)
     draw = np.random.Generator(bit_gen).random
     key = [seed, 0]
@@ -116,15 +119,34 @@ def simulate_genotypes(pi: ExpectedFreqMatrix, seed: int) -> GenotypeMatrix:
     rows = max(1, _BLOCK_WORDS // (2 * n))
     u = np.empty((rows, n, 2))
     flat = u.reshape(rows, 2 * n)
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        for r, s in enumerate(range(start, stop)):
-            key[1] = s
-            bit_gen.state = row_state
-            draw(out=flat[r])
-        b, pb = u[: stop - start], p[start:stop]
-        np.add(b[..., 0] < pb, b[..., 1] < pb, out=out[start:stop], dtype=np.int8)
-    return GenotypeMatrix(out)
+
+    def genotypes(start, p):
+        # counts of at most 2
+        out = np.empty(p.shape, dtype=np.int8)
+        for a in range(0, p.shape[0], rows):
+            b = min(a + rows, p.shape[0])
+            for r, s in enumerate(range(start + a, start + b)):
+                key[1] = s
+                bit_gen.state = row_state
+                draw(out=flat[r])
+            ub, pb = u[: b - a], p[a:b]
+            np.add(ub[..., 0] < pb, ub[..., 1] < pb, out=out[a:b], dtype=np.int8)
+        return out
+
+    return (genotypes(start, p) for start, p in blocks)
+
+
+def simulate_genotypes(pi: ExpectedFreqMatrix, seed: int) -> GenotypeMatrix:
+    """Draw a genotype matrix from the two-Bernoulli model at each cell.
+
+    The stream layout documented in the module docstring is part of the
+    contract: per-row Philox keyed with the two words (seed, row index), 2N
+    doubles per row, consecutive pairs per entry. Seeds are integers in
+    [0, 2**64). The whole of pi is one block of _genotype_blocks, and
+    GenotypeMatrix makes the one int64 copy of its int8 counts.
+    """
+    (g,) = _genotype_blocks([(0, pi.values)], seed, pi.values.shape[1])
+    return GenotypeMatrix(g)
 
 
 MODEL_CLASS_ALIASES = {

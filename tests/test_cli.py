@@ -409,6 +409,73 @@ def test_simulate_largest_seed_is_accepted(capsys, tmp_path):
     assert out == "2,2\n0,0\n"
 
 
+def _genotype_join(pair, seed):
+    g = admixid.simulate_genotypes(pair.product(), seed).values
+    return "".join(",".join(map(str, row)) + "\n" for row in g.tolist()).encode()
+
+
+def _simulate_pair(tmp_path, k, m, n, seed=3):
+    pair = generate_instance("anchorQ" if m >= k else "unadmixed", k, m, n, seed)
+    return pair, write_csv(tmp_path / "F.csv", pair.F.values), write_csv(tmp_path / "Q.csv",
+                                                                         pair.Q.values)
+
+
+# (K, M, N, entries of P per block): several blocks with a ragged last one, a
+# last block of one row (which joins the one before it), M = 1, N = 1, a row
+# wider than a block, and a row wider than the draw buffer
+_STREAM_CASES = [
+    (3, 50, 7, 64),
+    (3, 41, 5, 40),
+    (2, 1, 9, 8),
+    (1, 23, 1, 8),
+    (2, 9, 100, 64),
+    (2, 5, 2100, 4096),
+    (4, 2000, 400, None),
+]
+
+
+@pytest.mark.parametrize("k,m,n,cells", _STREAM_CASES)
+def test_simulate_stream_matches_the_library_draw(capsys, tmp_path, monkeypatch, k, m, n, cells):
+    from admixid import cli
+
+    if cells is not None:
+        monkeypatch.setattr(cli, "_SIMULATE_BLOCK_CELLS", cells)
+    pair, f, q = _simulate_pair(tmp_path, k, m, n)
+    want = _genotype_join(pair, 11)
+    out = tmp_path / "G.csv"
+    assert main(["simulate", "--f", f, "--q", q, "--seed", "11", "--output", str(out)]) == 0
+    assert out.read_bytes() == want
+    capsys.readouterr()
+    assert main(["simulate", "--f", f, "--q", q, "--seed", "11"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == want and captured.err == ""
+
+
+_SIMULATE_ERRORS = [
+    (["--seed", "-1"], "Q.csv", 5, "error: seed must be nonnegative"),
+    (["--seed", str(2**64)], "Q.csv", 5,
+     "error: seed must be below 2**64, the width of a Philox key word"),
+    (["--seed", "1"], "Q3.csv", 3, "error: F has 2 populations but Q has 3"),
+    (["--seed", "1"], "Qbad.csv", 5, "error: admixture matrix column 1 sums to 0.9, expected 1"),
+]
+
+
+@pytest.mark.parametrize("extra,q_name,code,line", _SIMULATE_ERRORS)
+def test_simulate_errors_write_nothing(capsys, tmp_path, monkeypatch, extra, q_name, code, line):
+    from admixid import cli
+
+    monkeypatch.setattr(cli, "_SIMULATE_BLOCK_CELLS", 8)  # F's 9 rows span blocks
+    f = write_csv(tmp_path / "F.csv", [[0.5, 0.5]] * 9)
+    write_csv(tmp_path / "Q.csv", np.eye(2))
+    write_csv(tmp_path / "Q3.csv", np.eye(3)[:, :2])
+    write_csv(tmp_path / "Qbad.csv", [[1, 0.5], [0, 0.4]])
+    out = tmp_path / "G.csv"
+    argv = ["simulate", "--f", f, "--q", str(tmp_path / q_name), *extra]
+    assert run(capsys, [*argv, "--output", str(out)]) == (code, "", line + "\n")
+    assert not out.exists()
+    assert run(capsys, argv) == (code, "", line + "\n")
+
+
 def test_equiv_self_is_equivalent(capsys, tmp_path, anchor_pair_files):
     code, out, _ = run(
         capsys, ["equiv", "--pair1", str(tmp_path), "--pair2", str(tmp_path)]

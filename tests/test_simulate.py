@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 
 from admixid import (
+    AdmixtureMatrix,
     DimensionBound,
     EntryOutOfRange,
     ExpectedFreqMatrix,
+    FactorPair,
+    FrequencyMatrix,
     GenotypeMatrix,
+    Tolerance,
     classify,
     generate_instance,
+    multiply,
     simulate_genotypes,
+    write_matrix,
 )
+from admixid.cli import main
+from admixid.matrices import _product_blocks
 from admixid.simulate import _BLOCK_WORDS
 
 
@@ -200,6 +208,73 @@ def test_simulate_holds_one_full_size_int64_array():
         tracemalloc.stop()
     assert g.values.dtype == np.int64
     assert peak < 1.5 * g.values.nbytes
+
+
+def _random_pair(k, m, n, seed=0, tol=None):
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(size=(k, n))
+    return FactorPair(FrequencyMatrix(rng.uniform(size=(m, k)), tol),
+                      AdmixtureMatrix(q / q.sum(axis=0), tol))
+
+
+@pytest.mark.parametrize("k,m,n,cells", [
+    (3, 1, 5, 4), (3, 2, 5, 4), (3, 41, 5, 40), (3, 50, 7, 64), (2, 9, 100, 64),
+    (4, 2000, 400, 2**17), (1, 23, 1, 8),
+])
+def test_product_blocks_cover_the_rows_of_the_product(k, m, n, cells):
+    pair = _random_pair(k, m, n)
+    blocks = list(_product_blocks(pair, cells))
+    starts = [a for a, _ in blocks]
+    sizes = [p.shape[0] for _, p in blocks]
+    assert starts == list(np.cumsum([0, *sizes[:-1]])) and sum(sizes) == m
+    assert all(size % 4 == 0 for size in sizes[:-1])
+    assert m == 1 or min(sizes) > 1
+    got = np.vstack([p for _, p in blocks])
+    # each block is a BLAS product of its own, so its rows may round apart in the last bit
+    assert np.abs(got - pair.product().values).max() <= 4 * np.finfo(float).eps
+    assert got.min() >= 0.0 and got.max() <= 1.0
+
+
+@pytest.mark.parametrize("cells", [8, 10**6])
+@pytest.mark.parametrize("row", [0, 20])
+def test_product_blocks_raise_multiplys_error_before_any_block(cells, row):
+    # F and Q pass at tol 0.5; their product's largest entry, 1.4 in row `row`, is
+    # outside the box at 1e-12, in the first or in the last of several blocks
+    f = np.full((21, 2), 0.1)
+    f[row] = 1.0
+    wide = Tolerance(eq_tol=0.5)
+    pair = FactorPair(FrequencyMatrix(f, wide), AdmixtureMatrix([[1.0, 0.5], [0.0, 0.9]], wide))
+    tight = Tolerance(eq_tol=1e-12)
+    with pytest.raises(ValueError) as whole:
+        multiply(pair.F, pair.Q, tight)
+    with pytest.raises(ValueError) as streamed:
+        _product_blocks(pair, cells, tight)
+    assert "found range [0.1, 1.4]" in str(whole.value)
+    assert str(streamed.value) == str(whole.value)
+
+
+def _simulate_peak(tmp_path, m):
+    pair = _random_pair(2, m, 400, seed=m)
+    f, q, out = tmp_path / "F.csv", tmp_path / "Q.csv", tmp_path / "G.csv"
+    write_matrix(f, pair.F.values)
+    write_matrix(q, pair.Q.values)
+    argv = ["simulate", "--f", str(f), "--q", str(q), "--seed", "1", "--output", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == 2 * m * 400
+    return peak
+
+
+def test_cli_simulate_memory_does_not_grow_with_the_loci(tmp_path):
+    # the command streams blocks of P, genotypes and text: four times the loci, the
+    # same peak, a few MiB (a whole 8000 x 400 P alone would take 24 MiB)
+    small, large = _simulate_peak(tmp_path, 2000), _simulate_peak(tmp_path, 8000)
+    assert abs(large - small) <= 0.1 * small
+    assert large < 4 * 2**20
 
 
 def test_generate_instance_members_classify():
