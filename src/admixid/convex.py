@@ -132,16 +132,21 @@ def _fit(coords, target_coords, points, cols, target, unit_sum):
     return w, misfit
 
 
-def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance, qr=None):
+def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance, qr=None,
+                    lifted=None):
     """(weights, misfits): column i the nonnegative weights of column i of targets,
-    misfits[i] their misfit as _fit has it, from one QR (qr, when the caller has
-    it) and one lstsq. _fit redoes the targets the module docstring names, up
-    to the first past eq_tol."""
+    misfits[i] their misfit as _fit has it, from one QR and one lstsq. The
+    caller passes the QR as qr, and the targets with unit_sum's row of ones as
+    lifted, when it has them. _fit redoes the targets the module docstring
+    names, up to the first past eq_tol."""
     basis, g_coords = np.linalg.qr(generators) if qr is None else qr
     t_coords = basis.T @ targets
     lift = _lifted if unit_sum else np.asarray
     weights, _, rank, _ = np.linalg.lstsq(lift(g_coords), lift(t_coords), rcond=None)
-    misfits = np.abs(lift(generators) @ weights - lift(targets)).max(axis=0, initial=0.0)
+    # |lift(generators) @ weights - lift(targets)|, in the product's own buffer
+    resid = lift(generators) @ weights
+    resid -= lift(targets) if lifted is None else lifted
+    misfits = np.abs(resid, out=resid).max(axis=0, initial=0.0)
     cols = np.arange(generators.shape[1])
     for i in np.flatnonzero((weights < 0).any(axis=0) | (rank < cols.size)):
         weights[:, i], misfits[i] = _fit(g_coords, t_coords[:, i], generators, cols,
@@ -302,7 +307,16 @@ def _successive_projection(points, tol: Tolerance, conic: bool = False):
     """
     p = _columns(points)
     reps = np.asarray(first_distinct_rows(p.T, tol, scaled=conic))
-    resid = p[:, reps] / p[:, reps].sum(axis=0) if conic else _lifted(p[:, reps])
+    if conic:
+        resid = p[:, reps] / p[:, reps].sum(axis=0)
+    elif p.flags.c_contiguous:
+        # the lifted columns in one copy ("clip" takes into out unbuffered), in the C
+        # order that _lifted gives them here, which the rounding of the norms follows
+        resid = np.empty((p.shape[0] + 1, reps.size))
+        np.take(p, reps, axis=1, out=resid[:-1], mode="clip")
+        resid[-1] = 1.0
+    else:
+        resid = _lifted(p[:, reps])
     norms = np.linalg.norm(resid, axis=0)
     tmp = np.empty_like(resid)  # the projection, then the squares, in place
     picks: list[int] = []

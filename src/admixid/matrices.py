@@ -82,7 +82,9 @@ def first_distinct_rows(
     A match pins one coordinate of the two rows (of their unit-norm
     directions when scaled) to within a known width, so after one sort each
     row is compared, in a single array operation, only with the kept rows
-    inside that window. Memory stays linear in the size of a.
+    before it inside that window. A row alone in its window is kept without
+    a comparison, so the loop runs only over the rows with a neighbour.
+    Memory stays linear in the size of a.
     """
     a = np.asarray(a, dtype=float)
     n, d = a.shape
@@ -102,10 +104,12 @@ def first_distinct_rows(
     order = np.argsort(key, kind="stable")
     lo = np.searchsorted(key[order], key - width, side="left")
     hi = np.searchsorted(key[order], key + width, side="right")
-    kept = np.zeros(n, dtype=bool)
-    for j in range(n):
+    # a window always holds its own row; one that holds no other keeps it, but may
+    # lie inside a later row's wider (scaled) window, so a row sees only earlier ones
+    kept = hi - lo == 1
+    for j in np.flatnonzero(~kept):
         near = order[lo[j]:hi[j]]
-        near = near[kept[near]]
+        near = near[kept[near] & (near < j)]
         if near.size:
             x, positive = a[near], True
             if scaled:

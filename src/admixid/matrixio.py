@@ -59,9 +59,17 @@ _POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
 # below this size np.loadtxt is the faster reader: the two tie at 8-10 KB of %.17g cells
 # (2-core x86-64 VM, numpy 2.4)
 _PLAIN_MIN_BYTES = 10240
-# a block holds about this many cells (about 110 bytes of temporaries each), or fewer
-_BLOCK_CELLS = 2048
-_BLOCK_BYTES = 65536
+# a block holds about _BLOCK_CELLS cells, or fewer, so that its 45 or so numpy calls
+# are few beside its per-cell work. Its temporaries take about 115 bytes a cell (0.93
+# MB traced at 8192 cells of %.17g text), so a file of fewer than 8 * _BLOCK_CELLS
+# cells takes blocks of an eighth of its cells, and at least _BLOCK_CELLS // 4: the
+# temporaries stay under twice the matrix the file fills (8 bytes a cell), which
+# recovery holds too, or at 0.24 MB
+_BLOCK_CELLS = 8192
+_BLOCK_BYTES = 262144
+# the first pass's chunks: with one bool a byte, 128 KiB of temporaries, and faster than
+# 256 KiB chunks (1.1 against 1.4 ms for the bench's four largest P files)
+_SCAN_BYTES = 65536
 
 # the non-digit bytes of a plain decimal; a separator is a comma or a newline, an
 # exponent mark "e" or "E", and a sign straight after the mark is the exponent's
@@ -189,7 +197,7 @@ def _cell_error(cell: str) -> str:
 def _read_plain_decimal(fh) -> np.ndarray | None:
     """The matrix of a binary file of plain decimals, or None if it holds anything else."""
     rows, last, exponents = 0, b"\n", False
-    while chunk := fh.read(_BLOCK_BYTES):
+    while chunk := fh.read(_SCAN_BYTES):
         b = np.frombuffer(chunk, np.uint8)
         if b.max() > ord("9"):  # an exponent mark, another letter or a non-ASCII byte
             if np.count_nonzero(b > ord("9")) != chunk.count(b"e") + chunk.count(b"E"):
@@ -202,9 +210,10 @@ def _read_plain_decimal(fh) -> np.ndarray | None:
     width = fh.readline().count(b",") + 1
     out = np.empty((rows, width))
     flat = out.reshape(-1)
-    # the first block: about _BLOCK_CELLS cells at the first line's bytes per cell, and at
+    block_cells = min(_BLOCK_CELLS, max(_BLOCK_CELLS // 4, flat.size // 8))
+    # the first block: about block_cells cells at the first line's bytes per cell, and at
     # least that line
-    block_bytes = max(fh.tell(), min(_BLOCK_BYTES, _BLOCK_CELLS * fh.tell() // width))
+    block_bytes = max(fh.tell(), min(_BLOCK_BYTES, block_cells * fh.tell() // width))
     fh.seek(0)
     pos = 0
     while data := fh.read(block_bytes):
@@ -223,8 +232,8 @@ def _read_plain_decimal(fh) -> np.ndarray | None:
         if n is None:
             return None
         pos += n
-        # about _BLOCK_CELLS cells next, at this block's bytes per cell
-        block_bytes = min(_BLOCK_BYTES, _BLOCK_CELLS * lines // n)
+        # about block_cells cells next, at this block's bytes per cell
+        block_bytes = min(_BLOCK_BYTES, block_cells * lines // n)
     return out if pos == flat.size else None
 
 
@@ -245,7 +254,7 @@ def _parse_block(
     kind = b[at]
     gap = at.copy()  # digits just before each non-digit
     gap[1:] -= at[:-1] + 1
-    state = _STATE[kind]
+    state = _STATE.take(kind)  # take, as indexing with a uint8 array is slower
     if exponents:
         # each exponent mark, and a "-" straight after one is the exponent's sign (one
         # with digits between is declined); a mark is never the block's last non-digit
@@ -301,7 +310,7 @@ def _parse_block(
     # below a power of two included). Below 10**18 and with |shift| <= 27, |r| is 0 or
     # above 1e-27, so no double here is subnormal. numpy's parser saturates a cell or an
     # exponent beyond int64, and a shift past int64 wraps to below -27.
-    redo = (r.view(np.int64)[::2] % 2048 == 0x400) | (shift > 27)
+    redo = ((r.view(np.int64)[::2] & 0x7FF) == 0x400) | (shift > 27)
     if exponents:
         redo[up] |= shift[up] < -27
     redo |= (digits >= 10**18) | (digits <= -(10**18))

@@ -169,7 +169,8 @@ def _picks_stand_clear(points, reps, picks, tol: Tolerance) -> bool:
     among reps, so no sweep step can drop it. The distances are taken in the
     picks' span: a projection shortens them, so these are lower bounds."""
     basis, _ = np.linalg.qr(points[:, picks])
-    coords = basis.T @ points[:, reps]
+    # reps are sorted, so as many as the columns are all of them, and no copy is needed
+    coords = basis.T @ (points if len(reps) == points.shape[1] else points[:, reps])
     for j in np.searchsorted(reps, picks):
         others = np.delete(coords, j, axis=1)
         gap = np.linalg.norm(others @ nonneg_lstsq(others, coords[:, j]) - coords[:, j])
@@ -178,12 +179,15 @@ def _picks_stand_clear(points, reps, picks, tol: Tolerance) -> bool:
     return True
 
 
-def _pass_over(targets: np.ndarray, kept: np.ndarray, tol: Tolerance, conic: bool):
+def _pass_over(targets: np.ndarray, kept: np.ndarray, tol: Tolerance, conic: bool,
+               over: np.ndarray | None):
     """(generators, r, weights, misfits): the decomposition pass of the columns
     of targets over its kept columns, or with conic over those scaled by
     eps, where rays @ eps = all-ones gives Q unit column sums; r is the
-    generators' QR factor. Raises where the kept columns are dependent
-    (affinely, or linearly with conic) or no positive scaling exists."""
+    generators' QR factor. over is the targets lifted by a row of ones (with
+    conic the targets), or None where the pass is to lift them itself.
+    Raises where the kept columns are dependent (affinely, or linearly with
+    conic) or no positive scaling exists."""
     gens = targets[:, kept]
     if not (has_unique_conic_decompositions(gens.T, tol) if conic
             else has_unique_decompositions(gens, tol)):
@@ -201,7 +205,7 @@ def _pass_over(targets: np.ndarray, kept: np.ndarray, tol: Tolerance, conic: boo
             raise ScalingInfeasible(f"column-sum scaling has a nonpositive weight {eps.min():.3g}")
         gens = gens * eps
     qr = np.linalg.qr(gens)
-    return (gens, qr[1], *_decompositions(targets, gens, not conic, tol, qr))
+    return (gens, qr[1], *_decompositions(targets, gens, not conic, tol, qr, over))
 
 
 def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
@@ -237,16 +241,22 @@ def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
     else:
         index, points, targets, kind = np.arange(p.shape[1]), p, p, "column"
     reps, picks, rho = _successive_projection(points, tol, conic)
-    clear = _picks_stand_clear(targets if conic else _lifted(p), index[reps], index[picks], tol)
+    # one lifted copy of P for the margin solves and the certificate's pass, made once
+    # SPA's two buffers of its size are freed
+    over = targets if conic else _lifted(p)
+    clear = _picks_stand_clear(over, index[reps], index[picks], tol)
     # the certificate where the picks stand clear; it breaks or falls through to the sweep
     for certify in (clear, False):
         kept = index[picks if certify else _sweep(points, reps, None, tol, not conic)]
         try:
-            gens, r, weights, misfits = _pass_over(targets, kept, tol, conic)
+            gens, r, weights, misfits = _pass_over(targets, kept, tol, conic, over)
         except (NonUniqueDecomposition, ScalingInfeasible):
             if not certify:
                 raise
             continue
+        # freed before the margins and _finalize take temporaries of its size; the
+        # sweep's pass lifts its own
+        over = None
         bad = np.flatnonzero(misfits > tol.eq_tol)
         if not certify:
             if bad.size:

@@ -105,3 +105,13 @@ def successive_projection_oracle(points, tol, conic=False):
         norms = np.linalg.norm(resid, axis=0)
         norms[picks] = 0.0
     return reps.tolist(), sorted(reps[picks].tolist()), float(norms.max())
+
+
+def decomposition_misfits_oracle(targets, generators, weights, unit_sum):
+    """convex._decompositions' misfits of weights as one expression: by column, the
+    largest |lift(generators) @ weights - lift(targets)|, lift adding a row of ones
+    with unit_sum."""
+    if unit_sum:
+        generators = np.vstack([generators, np.ones((1, generators.shape[1]))])
+        targets = np.vstack([targets, np.ones((1, targets.shape[1]))])
+    return np.abs(generators @ weights - targets).max(axis=0, initial=0.0)

@@ -20,6 +20,8 @@ from admixid import convex
 from admixid.convex import nonneg_lstsq, null_shift_direction, shift_to_boundary
 from admixid.matrices import DEFAULT_TOL, max_abs
 
+from helpers import decomposition_misfits_oracle
+
 
 def cols(*vectors):
     return np.column_stack([np.asarray(v, dtype=float) for v in vectors])
@@ -325,6 +327,27 @@ def test_batched_decompositions_match_one_fit_per_column(seed, d, data, unit_sum
     assert weights.shape == want_w.shape
     assert max_abs(weights[:, :n] - want_w[:, :n]) <= 1e-13
     assert np.array_equal(misfits[:n] <= eq_tol, want_misfits[:n] <= eq_tol)
+
+
+@pytest.mark.parametrize("unit_sum", [True, False])
+@pytest.mark.parametrize("shape", [(3, 2, 7), (40, 5, 300), (401, 5, 300)])
+def test_in_place_misfits_equal_the_one_expression(shape, unit_sum):
+    # targets near positive combinations of the generators: the one lstsq gives every
+    # weight, no column is redone, and each misfit is the residual's, bit for bit, with
+    # the lifted targets made by the pass or handed to it
+    d, k, n = shape
+    rng = np.random.default_rng(d)
+    g = rng.uniform(0.05, 0.95, size=(d, k))
+    w = rng.uniform(0.2, 1.0, size=(k, n))
+    if unit_sum:
+        w /= w.sum(axis=0)
+    targets = g @ w + rng.uniform(-1e-3, 1e-3, size=(d, n))
+    for lifted in (None, convex._lifted(targets) if unit_sum else targets):
+        weights, misfits = convex._decompositions(targets, g, unit_sum, DEFAULT_TOL,
+                                                  lifted=lifted)
+        assert (weights > 0).all()
+        want = decomposition_misfits_oracle(targets, g, weights, unit_sum)
+        assert misfits.tobytes() == want.tobytes()
 
 
 def test_rank_deficient_generators_decompose_exactly_as_one_fit_per_column():

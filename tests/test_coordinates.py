@@ -180,6 +180,31 @@ def test_scaled_first_distinct_rows_matches_pairwise_scan(seed, gap, n, d, copie
     assert first_distinct_rows(a, TOL, scaled=True) == oracle_distinct(a, TOL, scaled=True)
 
 
+@PROPERTY
+@given(seed=seeds, gap=gaps, n=st.integers(1, 12), d=st.integers(1, 8), copies=st.integers(0, 12))
+def test_scaled_first_distinct_rows_with_norms_far_apart_matches_pairwise_scan(
+    seed, gap, n, d, copies
+):
+    # a row's window narrows as its norm grows, so with norms from 1e-6 to 1e3 a row
+    # alone in its own window lies inside the wide windows of small rows, before and
+    # after it
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1.0, 1.0, size=(n, d))
+    a = planted_duplicates(rng, base, copies, gap * TOL.eq_tol, True, signs=(-1.0, 1.0))
+    a *= 10.0 ** rng.uniform(-6.0, 3.0, size=(len(a), 1))
+    a[np.abs(a).max(axis=1) <= TOL.eq_tol] = 1.0  # rays must be nonzero
+    assert first_distinct_rows(a, TOL, scaled=True) == oracle_distinct(a, TOL, scaled=True)
+
+
+def test_scaled_first_distinct_rows_sees_a_lone_row_from_wider_windows_only_after_it():
+    # row 1 (norm 1e3) is alone in its narrow window and inside the wide windows of the
+    # small rows 0 and 2, each within eq_tol of a multiple of it, but not of each other.
+    # Row 0 comes first, so it is kept; row 2 is a duplicate of row 1 alone.
+    u, across = np.array([0.6, 0.8]), np.array([0.8, -0.6])
+    a = np.array([1e-6 * (u + 8e-3 * across), 1e3 * u, 1e-6 * (u - 8e-3 * across)])
+    assert first_distinct_rows(a, TOL, scaled=True) == [0, 1] == oracle_distinct(a, TOL, scaled=True)
+
+
 def test_first_distinct_rows_keeps_chains_greedy():
     # row 1 is within eq_tol of row 0 and row 2 of row 1, but row 2 is not
     # within eq_tol of the kept row 0, so it is kept

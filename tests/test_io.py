@@ -1,6 +1,7 @@
 """CSV matrix reading and writing."""
 
 import contextlib
+import functools
 import io
 import json
 import warnings
@@ -450,6 +451,40 @@ def test_plain_path_reads_long_and_short_lines(tmp_path, shape, final_eol):
     with open(p, "rb") as fh:
         got = matrixio._read_plain_decimal(fh)
     assert got.tobytes() == vals.tobytes()
+
+
+@functools.cache
+def block_test_cells():
+    """Cells the reader must get exactly: decimals next to and at halfway points between
+    doubles, some of them in exponent forms, and forms of -0."""
+    cells = near_halfway_cells(seed=11)[::5]
+    return cells + exponent_forms(cells[::4]) + ["-0", "-0.0", "-0e5", "-0E-3", "-.0"]
+
+
+@needs_plain_path
+@pytest.mark.parametrize("block", [(2, 40), (7, 7 * 24), (2048, 65536), "default"])
+@pytest.mark.parametrize("width", [3, 1000])
+@pytest.mark.parametrize("final_eol", [True, False])
+def test_block_size_never_changes_a_value(tmp_path, monkeypatch, block, width, final_eol):
+    # 8 times _BLOCK_CELLS cells or more take blocks of _BLOCK_CELLS; rows of "0" first:
+    # the blocks sized from their 2 bytes a cell are shorter than the 1000-cell rows of
+    # long cells after them, at every block size here
+    if block != "default":
+        monkeypatch.setattr(matrixio, "_BLOCK_CELLS", block[0])
+        monkeypatch.setattr(matrixio, "_BLOCK_BYTES", block[1])
+    cells = block_test_cells()
+    cells = cells * -(-8 * matrixio._BLOCK_CELLS // len(cells))
+    cells = cells + ["0"] * (-len(cells) % width)
+    np.random.default_rng(width).shuffle(cells)
+    lines = [",".join(["0"] * width)] * 3
+    lines += [",".join(cells[i:i + width]) for i in range(0, len(cells), width)]
+    if width == 1000:  # the blocks after the first, sized at 2 bytes a cell
+        assert len(lines[3]) > min(matrixio._BLOCK_BYTES, 2 * matrixio._BLOCK_CELLS)
+    p = tmp_path / "m.csv"
+    p.write_bytes(("\n".join(lines) + "\n" * final_eol).encode())
+    with open(p, "rb") as fh:
+        got = matrixio._read_plain_decimal(fh)
+    assert got is not None and got.tobytes() == oracle_read_matrix(p).tobytes()
 
 
 PLAIN_FORMS = ["0", "-0", "1", "0.5", "-.25", "1.", "007.5", "0.30000000000000004",
