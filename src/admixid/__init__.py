@@ -18,24 +18,7 @@ from .conditions import (
     check_unadmixed,
     classify,
 )
-from .cones import (
-    NotACone,
-    ZeroVector,
-    conic_decompose,
-    has_unique_conic_decompositions,
-    minimal_conic_generating_rows,
-    rays_equal_up_to_scaling,
-    wedge_is_cone,
-)
-from .convex import (
-    NotOpenCombination,
-    UniqueDecomposition,
-    alternative_decomposition,
-    convex_decompose,
-    has_unique_decompositions,
-    is_extreme_point,
-    minimal_generating_columns,
-)
+from .convex import has_unique_conic_decompositions, has_unique_decompositions
 from .counterexamples import (
     CounterexamplePair,
     DeltaOutOfRange,

@@ -43,7 +43,7 @@ EXIT_DIMENSION = 3
 EXIT_RECOVERY = 4
 EXIT_PRECONDITION = 5
 
-_PARSE_ERRORS = (ParseError, ShapeError, FileNotFoundError, IsADirectoryError)
+_PARSE_ERRORS = (ParseError, ShapeError, OSError)
 _DIMENSION_ERRORS = (DimensionMismatch, DimensionBound)
 _PRECONDITION_ERRORS = (cx.PreconditionViolated, GenerationFailed)
 

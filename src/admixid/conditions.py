@@ -23,8 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .convex import has_unique_decompositions
-from .cones import has_unique_conic_decompositions
+from .convex import has_unique_conic_decompositions, has_unique_decompositions
 from .matrices import (
     DEFAULT_TOL,
     AdmixtureMatrix,

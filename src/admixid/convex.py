@@ -1,12 +1,14 @@
-"""Convex decompositions over finite generating sets of column vectors.
+"""Convex and conic decompositions over finite generating sets of vectors.
 
 A convex decomposition of a target v over generator columns g_1..g_m is a
 nonnegative weight vector with unit sum reproducing v. Decompositions over a
 fixed generator set are unique exactly when the pairwise differences
 g_1 - g_m, ..., g_{m-1} - g_m are linearly independent; when they are not,
 every strictly positive ("open") decomposition can be shifted along a null
-direction into a second valid one. The greedy column sweep below reduces a
-finite set to its extreme points, the unique minimal generating subset.
+direction into a second valid one. A conic decomposition drops the unit sum,
+and is unique exactly when the generators are linearly independent. The
+greedy column sweep below reduces a finite set to its extreme points, the
+unique minimal generating subset (without the unit sum, to its extreme rays).
 
 The sweep makes one solve per column. The successive projection algorithm
 (SPA; Gillis & Vavasis 2014, Arora et al. 2012) is the fast way to the same
@@ -14,10 +16,10 @@ points: with a row of ones appended, so that convex structure becomes linear,
 it repeatedly takes the column of largest residual norm and projects it out.
 In exact arithmetic each pick is a vertex of the hull, and the picks are all
 of them when every column decomposes over them; scaled to unit sum instead,
-nonnegative columns give the extreme rays of their cone (see cones). The
-picks are only a candidate set: recovery certifies them with the pass that
-decomposes over them and, where that cannot decide, runs the sweep itself
-on SPA's distinct columns; minimal_generating_columns is the public sweep.
+nonnegative columns give the extreme rays of their cone. The picks are only
+a candidate set: recovery certifies them with the pass that decomposes over
+them and, where that cannot decide, runs the sweep itself on SPA's distinct
+columns.
 
 The nonnegative least-squares solves run in coordinates: the sweep in the
 column coordinates of the thin SVD of the columns left after near-duplicates
@@ -41,7 +43,6 @@ from scipy.optimize import lsq_linear, nnls
 
 from .matrices import (
     DEFAULT_TOL,
-    DimensionMismatch,
     Tolerance,
     _first_nonzero_positive,
     first_distinct_rows,
@@ -51,25 +52,12 @@ from .matrices import (
 )
 
 __all__ = [
-    "UniqueDecomposition",
-    "NotOpenCombination",
     "nonneg_lstsq",
-    "convex_decompose",
     "has_unique_decompositions",
-    "alternative_decomposition",
+    "has_unique_conic_decompositions",
     "null_shift_direction",
     "shift_to_boundary",
-    "minimal_generating_columns",
-    "is_extreme_point",
 ]
-
-
-class UniqueDecomposition(Exception):
-    """No second decomposition exists: the generators force uniqueness."""
-
-
-class NotOpenCombination(ValueError):
-    """The supplied decomposition is not strictly positive."""
 
 
 def _columns(generators, per: str = "column") -> np.ndarray:
@@ -164,29 +152,6 @@ def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance, qr=None
     return weights, misfits
 
 
-def _decompose(target, generators: np.ndarray, tol: Tolerance, unit_sum: bool):
-    """Weights of one target over the generator columns, None past eq_tol."""
-    v = np.asarray(target, dtype=float).ravel()
-    if v.shape[0] != generators.shape[0]:
-        raise DimensionMismatch(
-            f"target has dimension {v.shape[0]} but generators have {generators.shape[0]}"
-        )
-    weights, misfits = _decompositions(v[:, None], generators, unit_sum, tol)
-    return weights[:, 0] if misfits[0] <= tol.eq_tol else None
-
-
-def convex_decompose(
-    target, generators, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray | None:
-    """Weights of target as a convex combination of the generator columns.
-
-    Solves nonnegative least squares on the system augmented with a unit-sum
-    row, then accepts only if the reconstruction and the weight sum match
-    within eq_tol. Returns None when the target is not in the convex hull.
-    """
-    return _decompose(target, _columns(generators), tol, unit_sum=True)
-
-
 def has_unique_decompositions(generators, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff every point of the hull has exactly one convex decomposition.
 
@@ -201,37 +166,10 @@ def has_unique_decompositions(generators, tol: Tolerance = DEFAULT_TOL) -> bool:
     return numeric_rank(diffs, tol) == m - 1
 
 
-def alternative_decomposition(
-    target, generators, known, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """A second convex decomposition of target, distinct from a known open one.
-
-    Requires the known weights to be strictly positive (above eq_tol) and the
-    generators to admit multiple decompositions. The construction takes a
-    null direction d of the generator differences with zero weight sum,
-    scales it to unit max, and moves the known weights by the largest step
-    that keeps them nonnegative; the step is at least min(known), so the
-    output differs from the input by more than eq_tol.
-    """
-    g = _columns(generators)
-    v = np.asarray(target, dtype=float).ravel()
-    w = np.asarray(known, dtype=float).ravel()
-    m = g.shape[1]
-    if w.shape[0] != m:
-        raise ValueError("known weights length does not match generator count")
-    if has_unique_decompositions(g, tol):
-        raise UniqueDecomposition(
-            "generator differences have full rank; decompositions are unique"
-        )
-    if w.min() <= tol.eq_tol:
-        raise NotOpenCombination(
-            f"known decomposition has a weight {w.min():g} <= eq_tol; "
-            "an interior starting point is required"
-        )
-    d = null_shift_direction(g)
-    out = shift_to_boundary(w, d)
-    assert max_abs(g @ out - v) <= 10 * tol.eq_tol
-    return out
+def has_unique_conic_decompositions(generators, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff every point of the wedge has one conic decomposition (rows independent)."""
+    r = _columns(generators, "row")
+    return numeric_rank(r, tol) == r.shape[0]
 
 
 def null_shift_direction(generators) -> np.ndarray:
@@ -286,21 +224,6 @@ def _sweep(points, kept: list[int], scan_order, tol: Tolerance, unit_sum) -> lis
     return np.flatnonzero(alive).tolist()
 
 
-def minimal_generating_columns(
-    points, tol: Tolerance = DEFAULT_TOL, scan_order=None
-) -> list[int]:
-    """Indices of the unique minimal subset of columns with the same hull.
-
-    Near-duplicate columns (within eq_tol) are collapsed to the lowest index
-    first; a single sweep then drops every column that is a convex
-    combination of the other survivors, leaving exactly the extreme points.
-    scan_order optionally fixes the sweep order over the deduplicated
-    columns; the resulting index set does not depend on it.
-    """
-    p = _columns(points)
-    return _sweep(p, first_distinct_rows(p.T, tol), scan_order, tol, unit_sum=True)
-
-
 def _successive_projection(points, tol: Tolerance, conic: bool = False):
     """SPA over the distinct columns: (reps, picks, rho).
 
@@ -338,15 +261,3 @@ def _successive_projection(points, tol: Tolerance, conic: bool = False):
         np.sqrt(np.add.reduce(np.square(resid, out=tmp), axis=0, out=norms), out=norms)
         norms[picks] = 0.0
     return reps.tolist(), sorted(reps[picks].tolist()), float(norms.max())
-
-
-def is_extreme_point(index: int, points, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the indexed column is not a convex combination of the others."""
-    p = _columns(points)
-    m = p.shape[1]
-    if not 0 <= index < m:
-        raise IndexError(f"column index {index} out of range for {m} columns")
-    if m == 1:
-        return True
-    others = [i for i in range(m) if i != index]
-    return convex_decompose(p[:, index], p[:, others], tol) is None

@@ -76,9 +76,10 @@ def first_distinct_rows(
 ) -> list[int]:
     """Indices of the rows of a kept by a greedy first-occurrence pass.
 
-    Row j is kept unless it lies within eq_tol (max-abs) of a row kept before
-    it; with scaled, unless a kept row times a positive scale does (the rule
-    of cones.rays_equal_up_to_scaling, which rows must then be nonzero for).
+    Row j = y is kept unless it lies within eq_tol (max-abs) of a row kept
+    before it; with scaled, unless s x does for a kept row x, where the
+    least-squares scale s = x.y / x.x must be positive (rows must then be
+    nonzero).
     A match pins one coordinate of the two rows (of their unit-norm
     directions when scaled) to within a known width, so after one sort each
     row is compared, in a single array operation, only with the kept rows

@@ -30,10 +30,10 @@ from .convex import (
     _lifted,
     _successive_projection,
     _sweep,
+    has_unique_conic_decompositions,
     has_unique_decompositions,
     nonneg_lstsq,
 )
-from .cones import has_unique_conic_decompositions
 from .matrices import (
     DEFAULT_TOL,
     AdmixtureMatrix,

@@ -8,8 +8,8 @@ combinations, rank-deficient row patterns) instead of rejection sampling.
 import numpy as np
 
 from admixid import AdmixtureMatrix, FactorPair, FrequencyMatrix
-from admixid.convex import nonneg_lstsq
-from admixid.matrices import first_distinct_rows
+from admixid.convex import _decompositions, _sweep, nonneg_lstsq
+from admixid.matrices import DEFAULT_TOL, first_distinct_rows, max_abs
 
 
 def dependent_f_values(rng, m, k):
@@ -131,3 +131,54 @@ def picks_stand_clear_oracle(points, reps, picks, tol):
         if not gap > 2 * points.shape[0] ** 0.5 * tol.eq_tol:
             return False
     return True
+
+
+def decompose(target, generators, unit_sum, tol=DEFAULT_TOL):
+    """convex._decompositions on one target: its weights over the generator
+    columns (convex with unit_sum, else conic), or None past eq_tol."""
+    target = np.asarray(target, dtype=float).reshape(-1, 1)
+    weights, misfits = _decompositions(target, np.asarray(generators, dtype=float),
+                                       unit_sum, tol)
+    return weights[:, 0] if misfits[0] <= tol.eq_tol else None
+
+
+def decomposes_oracle(target, generators, tol, unit_sum):
+    """True iff target is a convex (unit_sum) or conic combination of the generator
+    columns within eq_tol, by one NNLS in the full space."""
+    a, b = generators, target
+    if unit_sum:
+        a = np.vstack([a, np.ones((1, a.shape[1]))])
+        b = np.append(b, 1.0)
+    w = nonneg_lstsq(a, b)
+    if max_abs(generators @ w - target) > tol.eq_tol:
+        return False
+    return not (unit_sum and abs(w.sum() - 1.0) > tol.eq_tol)
+
+
+def minimal_columns(points, tol=DEFAULT_TOL, scan_order=None):
+    """The extreme points among the columns of points: convex._sweep over the
+    columns the duplicate scan keeps, as recovery's fallback runs it."""
+    p = np.asarray(points, dtype=float)
+    return _sweep(p, first_distinct_rows(p.T, tol), scan_order, tol, True)
+
+
+def minimal_rows(rays, tol=DEFAULT_TOL, scan_order=None):
+    """The extreme rays among the nonzero, nonnegative rows of rays: convex._sweep
+    over the rows the scaled duplicate scan keeps, as recovery's fallback runs it."""
+    r = np.asarray(rays, dtype=float)
+    return _sweep(r.T, first_distinct_rows(r, tol, scaled=True), scan_order, tol, False)
+
+
+def rays_equal_up_to_scaling(x, y, tol=DEFAULT_TOL):
+    """True iff y is a positive multiple of x within eq_tol: the pairwise rule of
+    first_distinct_rows(scaled=True)."""
+    xv = np.asarray(x, dtype=float).ravel()
+    yv = np.asarray(y, dtype=float).ravel()
+    if xv.shape != yv.shape:
+        raise ValueError("rays must have equal dimension")
+    if max_abs(xv) <= tol.eq_tol or max_abs(yv) <= tol.eq_tol:
+        raise ValueError("rays must be nonzero")
+    scale = float(xv @ yv) / float(xv @ xv)
+    if scale <= 0:
+        return False
+    return max_abs(scale * xv - yv) <= tol.eq_tol

@@ -21,8 +21,6 @@ from admixid import (
     generate_instance,
     has_unique_conic_decompositions,
     has_unique_decompositions,
-    minimal_conic_generating_rows,
-    minimal_generating_columns,
     necessity_F_rows,
     necessity_pq,
     perturb_F_row,
@@ -47,6 +45,8 @@ from helpers import (
     dependent_f_values,
     dependent_q_values,
     interior_q_values,
+    minimal_columns,
+    minimal_rows,
 )
 
 MATCH_TOL = Tolerance(eq_tol=1e-6)
@@ -329,19 +329,19 @@ def test_minimal_sets_ignore_scan_order():
             rows[-1] = 1.7 * rows[0]
         elif trial % 5 == 1 and m >= 3:
             rows[-1] = rows[0] + rows[1]
-        base_cols = minimal_generating_columns(cols)
+        base_cols = minimal_columns(cols)
         base_dirs = {
             tuple(np.round(rows[i] / np.linalg.norm(rows[i]), 9))
-            for i in minimal_conic_generating_rows(rows)
+            for i in minimal_rows(rows)
         }
         consistent = True
         for _ in range(5):
             order = [int(x) for x in rng.permutation(m)]
-            if minimal_generating_columns(cols, scan_order=order) != base_cols:
+            if minimal_columns(cols, scan_order=order) != base_cols:
                 consistent = False
             got = {
                 tuple(np.round(rows[i] / np.linalg.norm(rows[i]), 9))
-                for i in minimal_conic_generating_rows(rows, scan_order=order)
+                for i in minimal_rows(rows, scan_order=order)
             }
             if got != base_dirs:
                 consistent = False

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, driven through main(argv)."""
 
+import errno
 import json
 import os
 import re
@@ -17,13 +18,14 @@ from admixid import (
     FrequencyMatrix,
     Tolerance,
     are_equivalent,
-    convex_decompose,
     generate_instance,
     read_matrix,
     write_matrix,
 )
 from admixid.cli import main
 from admixid.convex import _successive_projection
+
+from helpers import decomposes_oracle
 
 
 def write_csv(path, values):
@@ -114,6 +116,20 @@ def test_missing_file_exits_2(capsys, tmp_path):
     q = write_csv(tmp_path / "Q.csv", np.eye(2))
     code, _, err = run(capsys, ["check", "--f", str(tmp_path / "nope.csv"), "--q", q])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, errno_code", [
+    (["check", "--f", "{F}/x", "--q", "{Q}"], errno.ENOTDIR),
+    (["check", "--f", "{F}", "--q", "{Q}", "--output", "{F}/out.json"], errno.ENOTDIR),
+    (["recover", "--pi", "{F}", "--out-dir", "{Q}"], errno.EEXIST),
+])
+def test_file_system_errors_exit_2(capsys, anchor_pair_files, argv, errno_code):
+    # exit 1 means "not equivalent", so no file-system failure may end in a traceback
+    f, q = anchor_pair_files
+    code, out, err = run(capsys, [arg.format(F=f, Q=q) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: [Errno {errno_code}] {os.strerror(errno_code)}: ")
+    assert err.count("\n") == 1
 
 
 def test_recover_fixed_regime(capsys, tmp_path):
@@ -607,7 +623,7 @@ def test_recover_anchor_q_names_a_column_outside_the_hull(capsys, tmp_path):
     named = re.search(r"anchorQ: column (\d+) lies outside the hull of 3 affinely", err)
     assert named, err
     picks = _successive_projection(p, Tolerance())[1]
-    assert convex_decompose(p[:, int(named.group(1))], p[:, picks]) is None
+    assert not decomposes_oracle(p[:, int(named.group(1))], p[:, picks], Tolerance(), True)
     code, out, _ = run(capsys, ["recover", "--pi", pi, "--out-dir", str(tmp_path / "rec")])
     assert code == 0
     assert json.loads(out)["regime"] == "anchorF"

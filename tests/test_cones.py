@@ -1,20 +1,17 @@
-"""Conic decompositions, the cone test, ray scaling, and minimal ray sets."""
+"""Conic decompositions, conic uniqueness, ray scaling and minimal ray sets.
+
+Decompositions run through convex._decompositions without the unit sum, and
+minimal ray sets through convex._sweep over the scaled duplicate scan, the
+engines recovery uses; generators are the rows of a matrix.
+"""
 
 import numpy as np
 import pytest
 
-from admixid import (
-    DimensionMismatch,
-    NotACone,
-    ZeroVector,
-    conic_decompose,
-    has_unique_conic_decompositions,
-    minimal_conic_generating_rows,
-    rays_equal_up_to_scaling,
-    wedge_is_cone,
-)
-from admixid import cones
-from admixid.matrices import max_abs
+from admixid import has_unique_conic_decompositions
+from admixid.matrices import first_distinct_rows, max_abs
+
+from helpers import decompose, minimal_rows, rays_equal_up_to_scaling
 
 
 def rows(*vectors):
@@ -22,36 +19,31 @@ def rows(*vectors):
 
 
 def test_conic_decompose_worked_example():
-    w = conic_decompose([0.5, 0.5], rows([0.4, 0.7], [0.6, 0.3]))
+    w = decompose([0.5, 0.5], rows([0.4, 0.7], [0.6, 0.3]).T, unit_sum=False)
     assert w is not None
     assert max_abs(w - [0.5, 0.5]) < 1e-10
 
 
 def test_conic_decompose_zero_target():
-    w = conic_decompose([0.0, 0.0], np.eye(2))
+    w = decompose([0.0, 0.0], np.eye(2).T, unit_sum=False)
     assert w is not None
     assert max_abs(w) <= 1e-10
 
 
 def test_conic_decompose_empty_generator_set():
-    assert conic_decompose(np.ones(3), np.zeros((0, 3))) is None
-    w = conic_decompose(np.zeros(3), np.zeros((0, 3)))
+    assert decompose(np.ones(3), np.zeros((0, 3)).T, unit_sum=False) is None
+    w = decompose(np.zeros(3), np.zeros((0, 3)).T, unit_sum=False)
     assert w is not None and w.shape == (0,)
 
 
 def test_conic_decompose_infeasible():
-    assert conic_decompose([-1.0, 0.0], np.eye(2)) is None
+    assert decompose([-1.0, 0.0], np.eye(2).T, unit_sum=False) is None
 
 
 def test_conic_decompose_no_sum_constraint():
-    w = conic_decompose([3.0, 5.0], np.eye(2))
+    w = decompose([3.0, 5.0], np.eye(2).T, unit_sum=False)
     assert w is not None
     assert max_abs(w - [3.0, 5.0]) < 1e-10
-
-
-def test_conic_decompose_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        conic_decompose([1.0, 0.0, 0.0], np.eye(2))
 
 
 def test_conic_decompose_random_members():
@@ -60,33 +52,10 @@ def test_conic_decompose_random_members():
         m, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         r = rng.uniform(size=(m, d))
         alpha = rng.uniform(0.0, 2.0, size=m)
-        w = conic_decompose(alpha @ r, r)
+        w = decompose(alpha @ r, r.T, unit_sum=False)
         assert w is not None
         assert max_abs(w @ r - alpha @ r) <= 1e-8
         assert w.min() >= 0.0
-
-
-def test_wedge_examples():
-    assert wedge_is_cone(np.eye(2))
-    assert not wedge_is_cone(rows([1, 0], [-1, 0]))
-
-
-def test_wedge_line_through_origin():
-    assert not wedge_is_cone(rows([1, 1], [-0.5, -0.5]))
-
-
-def test_wedge_nonnegative_rows_always_cone():
-    rng = np.random.default_rng(63)
-    for _ in range(30):
-        r = rng.uniform(size=(int(rng.integers(1, 6)), int(rng.integers(1, 5))))
-        assert wedge_is_cone(r)
-
-
-def test_wedge_stochastic_rows():
-    rng = np.random.default_rng(65)
-    q = rng.uniform(size=(3, 6))
-    q /= q.sum(axis=0)
-    assert wedge_is_cone(q)
 
 
 def test_unique_conic_examples():
@@ -99,78 +68,53 @@ def test_rays_equal_examples():
     assert rays_equal_up_to_scaling([1, 2], [2, 4])
     assert not rays_equal_up_to_scaling([1, 2], [-1, -2])
     assert not rays_equal_up_to_scaling([0.4, 0.7], [0.6, 0.3])
+    # the scaled duplicate scan keeps a row exactly when the pairwise rule matches
+    # none of the rows kept before it
+    assert first_distinct_rows(rows([1, 2], [2, 4]), scaled=True) == [0]
+    assert first_distinct_rows(rows([1, 2], [-1, -2]), scaled=True) == [0, 1]
+    assert first_distinct_rows(rows([0.4, 0.7], [0.6, 0.3]), scaled=True) == [0, 1]
 
 
 def test_rays_equal_rejects_zero():
-    with pytest.raises(ZeroVector):
+    with pytest.raises(ValueError, match="nonzero"):
         rays_equal_up_to_scaling([0.0, 0.0], [1.0, 0.0])
 
 
 def test_rays_equal_dimension_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="equal dimension"):
         rays_equal_up_to_scaling([1.0, 0.0], [1.0, 0.0, 0.0])
 
 
 def test_minimal_rows_sum_is_redundant():
-    assert minimal_conic_generating_rows(rows([1, 0], [0, 1], [1, 1])) == [0, 1]
+    assert minimal_rows(rows([1, 0], [0, 1], [1, 1])) == [0, 1]
 
 
 def test_minimal_rows_orthant():
-    assert minimal_conic_generating_rows(np.eye(3)) == [0, 1, 2]
+    assert minimal_rows(np.eye(3)) == [0, 1, 2]
 
 
 def test_minimal_rows_scaled_duplicate_keeps_lower():
-    assert minimal_conic_generating_rows(rows([1, 0], [2, 0], [0, 1])) == [0, 2]
-
-
-def test_minimal_rows_rejects_line():
-    with pytest.raises(NotACone):
-        minimal_conic_generating_rows(rows([1, 0], [-1, 0]))
-
-
-def test_minimal_rows_skip_the_lp_when_row_sums_decide(monkeypatch):
-    calls = []
-
-    def counted(r, tol):
-        calls.append(len(r))
-        return wedge_is_cone(r, tol)
-
-    monkeypatch.setattr(cones, "wedge_is_cone", counted)
-    # every row sum above 2 d eq_tol: no nonnegative combination can vanish
-    assert minimal_conic_generating_rows(rows([1, 0.5], [0.2, 0.9], [1.2, 1.4])) == [0, 1]
-    assert minimal_conic_generating_rows(rows([1, -0.5], [0.2, 0.9])) == [0, 1]
-    # nonnegative rows, one of them summing to under 2 d eq_tol: still a cone
-    assert minimal_conic_generating_rows(rows([1, 0], [1.5e-8, 1.5e-8])) == [0, 1]
-    assert calls == []
-    assert minimal_conic_generating_rows(rows([1, 0], [0.5, -1])) == [0, 1]
-    with pytest.raises(NotACone):
-        minimal_conic_generating_rows(rows([1, 1], [-1, -1], [0.5, 0.5]))
-    assert calls == [2, 3]
-
-
-def test_minimal_rows_rejects_zero_row():
-    with pytest.raises(NotACone):
-        minimal_conic_generating_rows(rows([1, 0], [0, 0]))
+    assert minimal_rows(rows([1, 0], [2, 0], [0, 1])) == [0, 2]
 
 
 def test_minimal_rows_scan_order_invariant():
     rng = np.random.default_rng(67)
     for _ in range(20):
         r = rng.uniform(0.0, 1.0, size=(6, 2)) + 1e-3
-        base = minimal_conic_generating_rows(r)
+        base = minimal_rows(r)
         for _ in range(4):
             order = list(rng.permutation(6))
-            assert minimal_conic_generating_rows(r, scan_order=order) == base
+            assert minimal_rows(r, scan_order=order) == base
 
 
 def test_minimal_rows_invariant_under_positive_rescaling():
     rng = np.random.default_rng(69)
     for _ in range(20):
         r = rng.uniform(0.05, 1.0, size=(5, 3))
-        base = minimal_conic_generating_rows(r)
+        base = minimal_rows(r)
         scales = rng.uniform(0.5, 3.0, size=5)
         scaled = scales[:, None] * r
-        again = minimal_conic_generating_rows(scaled)
+        again = minimal_rows(scaled)
         assert len(base) == len(again)
         for i, j in zip(base, again):
             assert rays_equal_up_to_scaling(r[i], scaled[j] / scales[j])

@@ -1,4 +1,9 @@
-"""Convex decompositions, uniqueness, alternatives, and minimal column sets."""
+"""Convex decompositions, uniqueness, alternatives, and minimal column sets.
+
+Decompositions run through convex._decompositions with the unit sum, minimal
+column sets through convex._sweep over the duplicate scan, and alternatives
+through the null shift, the engines recovery and the counterexamples use.
+"""
 
 from unittest import mock
 
@@ -7,22 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admixid import (
-    DimensionMismatch,
-    NotOpenCombination,
-    UniqueDecomposition,
-    alternative_decomposition,
-    conic_decompose,
-    convex_decompose,
-    has_unique_decompositions,
-    is_extreme_point,
-    minimal_generating_columns,
-)
-from admixid import convex
+from admixid import convex, has_unique_decompositions
 from admixid.convex import nonneg_lstsq, null_shift_direction, shift_to_boundary
 from admixid.matrices import DEFAULT_TOL, max_abs
 
-from helpers import decomposition_misfits_oracle
+from helpers import decompose, decomposes_oracle, decomposition_misfits_oracle, minimal_columns
 
 
 def cols(*vectors):
@@ -30,36 +24,36 @@ def cols(*vectors):
 
 
 def test_decompose_simplex_coordinates():
-    w = convex_decompose([0.3, 0.7], np.eye(2))
+    w = decompose([0.3, 0.7], np.eye(2), unit_sum=True)
     assert w is not None
     assert max_abs(w - [0.3, 0.7]) < 1e-10
 
 
 def test_decompose_worked_example():
     g = cols([1, 0, 0.5], [0, 1, 0.5])
-    w = convex_decompose([0.5, 0.5, 0.5], g)
+    w = decompose([0.5, 0.5, 0.5], g, unit_sum=True)
     assert w is not None
     assert max_abs(w - [0.5, 0.5]) < 1e-10
 
 
 def test_decompose_outside_hull():
-    assert convex_decompose([2.0, 0.0], np.eye(2)) is None
+    assert decompose([2.0, 0.0], np.eye(2), unit_sum=True) is None
 
 
 def test_decompose_requires_unit_sum():
     # (0.2, 0.2) is in the cone of e1, e2 but not in their convex hull
-    assert convex_decompose([0.2, 0.2], np.eye(2)) is None
+    assert decompose([0.2, 0.2], np.eye(2), unit_sum=True) is None
 
 
 def test_decompose_single_generator():
-    assert convex_decompose([0.4], [[0.4]]) is not None
-    assert convex_decompose([0.5], [[0.4]]) is None
+    assert decompose([0.4], [[0.4]], unit_sum=True) is not None
+    assert decompose([0.5], [[0.4]], unit_sum=True) is None
 
 
 def test_decompose_empty_generator_set():
     # scipy's nnls aborts the interpreter on a matrix with no columns
-    assert convex_decompose(np.ones(3), np.zeros((3, 0))) is None
-    assert convex_decompose(np.zeros(3), np.zeros((3, 0))) is None
+    assert decompose(np.ones(3), np.zeros((3, 0)), unit_sum=True) is None
+    assert decompose(np.zeros(3), np.zeros((3, 0)), unit_sum=True) is None
     assert nonneg_lstsq(np.zeros((3, 0)), np.ones(3)).shape == (0,)
 
 
@@ -96,18 +90,13 @@ def test_nonneg_lstsq_survives_the_nnls_iteration_cap():
     assert max_abs(nonneg_lstsq(a, b) - [0.0, 1.0, 0.0, 0.0, 0.0]) < 1e-12
 
 
-def test_decompose_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        convex_decompose([0.5, 0.5, 0.5], np.eye(2))
-
-
 def test_decompose_random_hull_members():
     rng = np.random.default_rng(21)
     for _ in range(50):
         m, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         g = rng.uniform(size=(d, m))
         lam = rng.dirichlet(np.ones(m))
-        w = convex_decompose(g @ lam, g)
+        w = decompose(g @ lam, g, unit_sum=True)
         assert w is not None
         assert max_abs(g @ w - g @ lam) <= 1e-8
         assert abs(w.sum() - 1.0) <= 1e-8
@@ -127,7 +116,7 @@ def test_unique_duplicate_columns():
 def test_alternative_square_center():
     g = cols([0, 0], [1, 1], [1, 0], [0, 1])
     known = np.full(4, 0.25)
-    mu = alternative_decomposition([0.5, 0.5], g, known)
+    mu = shift_to_boundary(known, null_shift_direction(g))
     assert max_abs(mu - known) > 1e-8
     assert max_abs(g @ mu - [0.5, 0.5]) <= 1e-7
     assert abs(mu.sum() - 1.0) <= 1e-7
@@ -136,21 +125,10 @@ def test_alternative_square_center():
 
 def test_alternative_collinear_triple():
     g = cols([0, 0], [0.5, 0.5], [1, 1])
-    mu = alternative_decomposition([0.5, 0.5], g, np.full(3, 1 / 3))
+    mu = shift_to_boundary(np.full(3, 1 / 3), null_shift_direction(g))
     assert max_abs(g @ mu - [0.5, 0.5]) <= 1e-7
     assert abs(mu.sum() - 1.0) <= 1e-7
     assert mu.min() >= -1e-12
-
-
-def test_alternative_unique_generators_raise():
-    with pytest.raises(UniqueDecomposition):
-        alternative_decomposition([0.3, 0.7], np.eye(2), np.array([0.3, 0.7]))
-
-
-def test_alternative_requires_open_weights():
-    g = cols([0, 0], [1, 0], [2, 0])
-    with pytest.raises(NotOpenCombination):
-        alternative_decomposition([1.0, 0.0], g, np.array([0.0, 1.0, 0.0]))
 
 
 def test_alternative_random_contract():
@@ -161,7 +139,7 @@ def test_alternative_random_contract():
         g = rng.uniform(size=(d, m))
         lam = rng.dirichlet(np.ones(m)) * 0.8 + 0.2 / m  # strictly positive
         v = g @ lam
-        mu = alternative_decomposition(v, g, lam)
+        mu = shift_to_boundary(lam, null_shift_direction(g))
         assert max_abs(mu - lam) > 1e-8
         assert max_abs(g @ mu - v) <= 1e-7
         assert abs(mu.sum() - 1.0) <= 1e-7
@@ -189,21 +167,21 @@ def test_shift_to_boundary_zeroes_a_weight():
 
 def test_minimal_columns_midpoint():
     pts = cols([0, 0], [1, 0], [0.5, 0])
-    assert minimal_generating_columns(pts) == [0, 1]
+    assert minimal_columns(pts) == [0, 1]
 
 
 def test_minimal_columns_simplex():
-    assert minimal_generating_columns(np.eye(3)) == [0, 1, 2]
+    assert minimal_columns(np.eye(3)) == [0, 1, 2]
 
 
 def test_minimal_columns_worked_example():
     pts = cols([1, 0, 0.5], [0, 1, 0.5], [0.3, 0.7, 0.5])
-    assert minimal_generating_columns(pts) == [0, 1]
+    assert minimal_columns(pts) == [0, 1]
 
 
 def test_minimal_columns_duplicates_keep_lower_index():
     pts = cols([0.2, 0.4], [0.2, 0.4], [0.9, 0.1])
-    assert minimal_generating_columns(pts) == [0, 2]
+    assert minimal_columns(pts) == [0, 2]
 
 
 def test_minimal_columns_match_extreme_points():
@@ -212,8 +190,10 @@ def test_minimal_columns_match_extreme_points():
         d = int(rng.integers(1, 4))
         m = int(rng.integers(1, 7))
         pts = rng.uniform(size=(d, m))
-        kept = minimal_generating_columns(pts)
-        extremes = [j for j in range(m) if is_extreme_point(j, pts)]
+        kept = minimal_columns(pts)
+        # extreme: no convex combination of the others, by one full-space NNLS
+        extremes = [j for j in range(m) if m == 1 or not decomposes_oracle(
+            pts[:, j], np.delete(pts, j, axis=1), DEFAULT_TOL, True)]
         assert kept == extremes
 
 
@@ -221,23 +201,18 @@ def test_minimal_columns_scan_order_invariant():
     rng = np.random.default_rng(43)
     for _ in range(20):
         pts = rng.uniform(size=(2, 6))
-        base = minimal_generating_columns(pts)
+        base = minimal_columns(pts)
         for _ in range(4):
             order = list(rng.permutation(6))
-            assert minimal_generating_columns(pts, scan_order=order) == base
+            assert minimal_columns(pts, scan_order=order) == base
 
 
 def test_extreme_point_examples():
     square = cols([0, 0], [1, 0], [0, 1], [1, 1])
-    assert is_extreme_point(3, square)
+    assert minimal_columns(square) == [0, 1, 2, 3]
     with_center = cols([0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5])
-    assert not is_extreme_point(4, with_center)
-    assert is_extreme_point(0, cols([0.3, 0.1]))
-
-
-def test_extreme_point_index_guard():
-    with pytest.raises(IndexError):
-        is_extreme_point(2, np.eye(2)[:, :1])
+    assert minimal_columns(with_center) == [0, 1, 2, 3]
+    assert minimal_columns(cols([0.3, 0.1])) == [0]
 
 
 def test_uniqueness_oracle_brute_force():
@@ -388,7 +363,7 @@ def test_rank_deficient_generators_decompose_exactly_as_one_fit_per_column(monke
             assert weights.tobytes() == want_w.tobytes()
             assert misfits.tobytes() == want_misfits.tobytes()
             assert len(fits) == 3
-    w = convex_decompose(targets[:, 0], g)
-    assert w.tobytes() == per_column(targets[:, :1], g, True)[0][:, 0].tobytes()
-    w = conic_decompose(targets[:, 0], g.T)
-    assert w.tobytes() == per_column(targets[:, :1], g, False)[0][:, 0].tobytes()
+    # one target alone, as a single decomposition
+    for unit_sum in (True, False):
+        w = convex._decompositions(targets[:, :1], g, unit_sum, DEFAULT_TOL)[0]
+        assert w.tobytes() == per_column(targets[:, :1], g, unit_sum)[0].tobytes()

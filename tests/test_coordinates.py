@@ -1,8 +1,10 @@
 """The duplicate scan and the span-coordinate sweeps against the pairwise originals.
 
-The oracles below are the pairwise loops and full-space solves the library
-used before its sweeps moved to span coordinates; every property asserts
-that the library returns the same indices. recover_anchor_Q and
+The oracles below and in helpers.py are the pairwise loops and full-space
+solves the library used before its sweeps moved to span coordinates; every
+property asserts that the library (convex._sweep, through
+helpers.minimal_columns and helpers.minimal_rows, and the duplicate scan)
+returns the same indices. recover_anchor_Q and
 recover_anchor_F, which find their extreme columns and rays by successive
 projection, are held to their sweep paths.
 """
@@ -18,19 +20,15 @@ from admixid import (
     Tolerance,
     generate_instance,
     max_abs,
-    minimal_conic_generating_rows,
-    minimal_generating_columns,
-    rays_equal_up_to_scaling,
     recover_anchor_F,
     recover_anchor_Q,
 )
 from admixid.conditions import anchor_Q_columns
-from admixid.cones import has_unique_conic_decompositions
 from admixid.convex import (
     _decompositions,
     _successive_projection,
+    has_unique_conic_decompositions,
     has_unique_decompositions,
-    nonneg_lstsq,
 )
 from admixid.matrices import first_distinct_rows, span_svd
 from admixid.recovery import (
@@ -41,7 +39,13 @@ from admixid.recovery import (
     _finalize,
 )
 
-from helpers import successive_projection_oracle
+from helpers import (
+    decomposes_oracle,
+    minimal_columns,
+    minimal_rows,
+    rays_equal_up_to_scaling,
+    successive_projection_oracle,
+)
 
 TOL = Tolerance()
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -61,22 +65,11 @@ def oracle_distinct(vectors, tol, scaled=False):
     return kept
 
 
-def oracle_decomposes(target, generators, tol, unit_sum):
-    a, b = generators, target
-    if unit_sum:
-        a = np.vstack([a, np.ones((1, a.shape[1]))])
-        b = np.append(b, 1.0)
-    w = nonneg_lstsq(a, b)
-    if max_abs(generators @ w - target) > tol.eq_tol:
-        return False
-    return not (unit_sum and abs(w.sum() - 1.0) > tol.eq_tol)
-
-
 def oracle_sweep(points, kept, tol, unit_sum):
     keep = set(kept)
     for j in kept:
         others = [i for i in kept if i in keep and i != j]
-        if others and oracle_decomposes(points[:, j], points[:, others], tol, unit_sum):
+        if others and decomposes_oracle(points[:, j], points[:, others], tol, unit_sum):
             keep.discard(j)
     return sorted(keep)
 
@@ -92,7 +85,7 @@ def oracle_minimal_rows(r, tol):
 def oracle_recover_anchor_Q(pi, tol):
     """recover_anchor_Q by the sweep alone: extreme columns, independence, one pass."""
     p = pi.values
-    f_vals = p[:, minimal_generating_columns(p, tol)]
+    f_vals = p[:, minimal_columns(p, tol)]
     if not has_unique_decompositions(f_vals, tol):
         raise NonUniqueDecomposition("extreme columns are affinely dependent")
     q_vals, misfits = _decompositions(p, f_vals, True, tol)
@@ -107,7 +100,7 @@ def oracle_recover_anchor_F(pi, tol):
     nonzero = np.flatnonzero(np.abs(p).max(axis=1) > tol.eq_tol)
     if not nonzero.size:
         raise DecompositionInfeasible("input is numerically zero")
-    rays = p[nonzero[minimal_conic_generating_rows(p[nonzero], tol)]]
+    rays = p[nonzero[minimal_rows(p[nonzero], tol)]]
     if not has_unique_conic_decompositions(rays, tol):
         raise NonUniqueDecomposition("extreme rays are linearly dependent")
     eps, *_ = np.linalg.lstsq(rays.T, np.ones(p.shape[1]), rcond=None)
@@ -236,7 +229,7 @@ def test_minimal_columns_match_full_space_oracle(seed, size, sigma, gap, copies)
     p = p + sigma * rng.standard_normal(p.shape)
     if sigma:
         assert span_svd(p)[1].size == min(p.shape)
-    assert minimal_generating_columns(p, TOL) == oracle_minimal_columns(p, TOL)
+    assert minimal_columns(p, TOL) == oracle_minimal_columns(p, TOL)
 
 
 @PROPERTY
@@ -249,7 +242,7 @@ def test_minimal_rows_match_full_space_oracle(seed, size, sigma, gap, copies):
     p = np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, None)
     if sigma:
         assert span_svd(p)[1].size == min(p.shape)
-    assert minimal_conic_generating_rows(p, TOL) == oracle_minimal_rows(p, TOL)
+    assert minimal_rows(p, TOL) == oracle_minimal_rows(p, TOL)
 
 
 @settings(PROPERTY, max_examples=200)
@@ -366,7 +359,7 @@ def test_round_trip_returns_planted_anchor_columns(seed):
     pair = generate_instance("anchorQ", 4, 200, 150, seed)
     p = pair.F.values @ pair.Q.values
     anchors = sorted(anchor_Q_columns(pair.Q, TOL))
-    assert minimal_generating_columns(p, TOL) == anchors
+    assert minimal_columns(p, TOL) == anchors
     rec = recover_anchor_Q(ExpectedFreqMatrix(p), TOL)
     assert np.array_equal(rec.F.values, ExpectedFreqMatrix(p).values[:, anchors])
     # the recovered populations come back in the order of their anchors

@@ -1,0 +1,32 @@
+"""The package's public surface: adding or removing a name is a reviewed edit here."""
+
+import importlib.util
+import types
+
+import admixid
+
+PUBLIC_NAMES = [
+    "AdmixtureMatrix", "AmbiguousAssignment", "ConditionReport", "CounterexamplePair",
+    "DEFAULT_TOL", "DecompositionInfeasible", "DeltaOutOfRange", "DimensionBound",
+    "DimensionMismatch", "EntryOutOfRange", "EquivalenceResult", "ExpectedFreqMatrix",
+    "FactorPair", "FrequencyMatrix", "GenerationFailed", "GenotypeMatrix",
+    "NoBoundedColumn", "NoBoundedRow", "NoDuplicateColumns", "NonUniqueDecomposition",
+    "ParseError", "PreconditionViolated", "RecoveredFactorization", "RecoveryError",
+    "ScalingInfeasible", "ShapeError", "Tolerance", "anchor_F_rows", "anchor_Q_columns",
+    "are_equivalent", "check_anchor_F", "check_anchor_Q", "check_distinct_columns",
+    "check_indep_F", "check_indep_Q", "check_unadmixed", "classify", "generate_instance",
+    "has_unique_conic_decompositions", "has_unique_decompositions", "max_abs", "multiply",
+    "necessity_F_rows", "necessity_pq", "null_space_vector", "numeric_rank",
+    "perturb_F_row", "perturb_interior_Q_column", "read_matrix", "recover_anchor_F",
+    "recover_anchor_Q", "recover_unadmixed", "rotate_R_F", "rotate_R_Q",
+    "rotation_matrices_F", "rotation_matrices_Q", "simulate_genotypes",
+    "unadmixed_dup_column", "unadmixed_missing_anchor", "write_matrix",
+]
+
+
+def test_public_names_are_pinned():
+    # submodules are left out: importing admixid.cli, say, binds it on the package
+    names = sorted(name for name, value in vars(admixid).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
+    assert importlib.util.find_spec("admixid.cones") is None

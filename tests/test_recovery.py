@@ -24,7 +24,7 @@ from admixid import (
     recover_anchor_Q,
     recover_unadmixed,
 )
-from admixid import cones, convex, recovery
+from admixid import convex, recovery
 from admixid.matrices import Tolerance, max_abs
 
 from helpers import picks_stand_clear_oracle
@@ -143,8 +143,7 @@ def test_anchor_f_refusal_scans_for_duplicates_once(monkeypatch):
             return scan(*args, **kwargs)
         return wrapper
 
-    for module in (convex, cones):
-        monkeypatch.setattr(module, "first_distinct_rows", counted(module.first_distinct_rows))
+    monkeypatch.setattr(convex, "first_distinct_rows", counted(convex.first_distinct_rows))
     pi = generate_instance("unadmixed", 4, 200, 150, 1).product()
     with pytest.raises(NonUniqueDecomposition):
         recover_anchor_F(pi)
