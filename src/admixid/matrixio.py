@@ -5,10 +5,12 @@ reproduces every double bit-for-bit.
 
 A file of at least _PLAIN_MIN_BYTES whose cells are all plain decimals
 (`-?digits[.digits][(e|E)[+-]?digits]`, no spaces, LF line ends, rows of
-equal length, no blank line) is read in blocks of whole lines: numpy's
-integer parser reads each cell's digits and exponent, and one long-double
-division or multiplication by a power of ten gives the double that float()
-gives. This path needs np.longdouble to be the x87 80-bit type (x86-64).
+equal length, no blank line) is read in one pass, in blocks of whole lines,
+each of which checks its own bytes and rows and is joined to the others at
+the end: numpy's integer parser reads each cell's digits and exponent, and
+one long-double division or multiplication by a power of ten gives the
+double that float() gives. This path needs np.longdouble to be the x87
+80-bit type (x86-64).
 Every other file goes to np.loadtxt; one it fails on, finds empty or not
 finite goes to a line loop of float() calls, which reports the 1-based line
 and column of the error.
@@ -63,14 +65,11 @@ _PLAIN_MIN_BYTES = 5120
 # a block holds about _BLOCK_CELLS cells, or fewer, so that its 45 or so numpy calls
 # are few beside its per-cell work. Its temporaries take about 115 bytes a cell (0.93
 # MB traced at 8192 cells of %.17g text), so a file of fewer than 8 * _BLOCK_CELLS
-# cells takes blocks of an eighth of its cells, and at least _BLOCK_CELLS // 4: the
-# temporaries stay under twice the matrix the file fills (8 bytes a cell), which
-# recovery holds too, or at 0.24 MB
+# cells (counted at its first line's bytes per cell) takes blocks of an eighth of its
+# cells, and at least _BLOCK_CELLS // 4: the temporaries stay under twice the matrix
+# the file fills (8 bytes a cell), which recovery holds too, or at 0.24 MB
 _BLOCK_CELLS = 8192
 _BLOCK_BYTES = 262144
-# the first pass's chunks: with one bool a byte, 128 KiB of temporaries, and faster than
-# 256 KiB chunks (1.1 against 1.4 ms for the bench's four largest P files)
-_SCAN_BYTES = 65536
 
 # the non-digit bytes of a plain decimal; a separator is a comma or a newline, an
 # exponent mark "e" or "E", and a sign straight after the mark is the exponent's
@@ -196,27 +195,17 @@ def _cell_error(cell: str) -> str:
 
 
 def _read_plain_decimal(fh) -> np.ndarray | None:
-    """The matrix of a binary file of plain decimals, or None if it holds anything else."""
-    rows, last, exponents = 0, b"\n", False
-    while chunk := fh.read(_SCAN_BYTES):
-        b = np.frombuffer(chunk, np.uint8)
-        if b.max() > ord("9"):  # an exponent mark, another letter or a non-ASCII byte
-            if np.count_nonzero(b > ord("9")) != chunk.count(b"e") + chunk.count(b"E"):
-                return None
-            exponents = True
-        rows += np.count_nonzero(b == ord("\n"))
-        last = chunk[-1:]
-    rows += last != b"\n"
+    """The matrix of a nonempty binary file of plain decimals, or None if it holds
+    anything else."""
+    first = fh.readline()
+    width = first.count(b",") + 1
+    # the file's cells, at the first line's bytes per cell
+    cells = fh.seek(0, os.SEEK_END) * width // len(first)
+    block_cells = min(_BLOCK_CELLS, max(_BLOCK_CELLS // 4, cells // 8))
+    # the first block: about block_cells cells, and at least the first line
+    block_bytes = max(len(first), min(_BLOCK_BYTES, block_cells * len(first) // width))
     fh.seek(0)
-    width = fh.readline().count(b",") + 1
-    out = np.empty((rows, width))
-    flat = out.reshape(-1)
-    block_cells = min(_BLOCK_CELLS, max(_BLOCK_CELLS // 4, flat.size // 8))
-    # the first block: about block_cells cells at the first line's bytes per cell, and at
-    # least that line
-    block_bytes = max(fh.tell(), min(_BLOCK_BYTES, block_cells * fh.tell() // width))
-    fh.seek(0)
-    pos = 0
+    blocks = []
     while data := fh.read(block_bytes):
         lines = data.rfind(b"\n") + 1  # the bytes of whole lines
         if not lines and len(data) == block_bytes:  # a line longer than the block
@@ -227,29 +216,27 @@ def _read_plain_decimal(fh) -> np.ndarray | None:
             fh.seek(lines - len(data), os.SEEK_CUR)
         else:  # the last line, without a newline
             data, lines = data + b"\n", len(data) + 1
-        n = _parse_block(
-            data, lines, width, flat[pos:], exponents and (b"e" in data or b"E" in data)
-        )
-        if n is None:
+        block = _parse_block(data, lines, width)
+        if block is None:
             return None
-        pos += n
+        blocks.append(block)
         # about block_cells cells next, at this block's bytes per cell
-        block_bytes = min(_BLOCK_BYTES, block_cells * lines // n)
-    return out if pos == flat.size else None
+        block_bytes = min(_BLOCK_BYTES, block_cells * lines // len(block))
+    return np.concatenate(blocks).reshape(-1, width)
 
 
-def _parse_block(
-    data: bytes, lines: int, width: int, out: np.ndarray, exponents: bool
-) -> int | None:
-    """Write the cells in the first `lines` bytes of data to the head of out; their
-    count, or None if they are not plain decimals. Only with exponents may a cell hold
-    an exponent.
+def _parse_block(data: bytes, lines: int, width: int) -> np.ndarray | None:
+    """The cells in the first `lines` bytes of data, rows of width cells ending in a
+    newline each, or None if they are anything else.
 
-    Every byte is at most "9" or an exponent mark: _read_plain_decimal checked the
-    file. Each array is freed when done with, so that few are alive at once; the
-    arithmetic is on int64 and long doubles, whose numpy loops the rest of the program
-    has already paged in."""
+    The block checks its own bytes. Where one is above "9" (an exponent mark, another
+    letter or a non-ASCII byte), every non-digit byte is classified, and any but an
+    exponent mark declines the block; elsewhere only those below "0" need be. Each
+    array is freed when done with, so that few are alive at once; the arithmetic is on
+    int64 and long doubles, whose numpy loops the rest of the program has already paged
+    in."""
     b = np.frombuffer(data, np.uint8, lines)
+    exponents = b.max() > ord("9")
     # every non-digit byte, in order (in uint8 a byte below "0" wraps round above 9)
     at = np.flatnonzero(b - ord("0") > 9 if exponents else b < ord("0"))
     kind = b[at]
@@ -269,8 +256,11 @@ def _parse_block(
         return None
     seps = np.flatnonzero(state < 2 * _MINUS)
     n = len(seps)
-    # a row too short or too long shows either here or in the cell count of the file
-    if n > len(out) or not (kind[seps[width - 1::width]] == ord("\n")).all():
+    # every row holds width cells: the newlines are the separators width - 1, 2 width - 1,
+    # ... and no others
+    if not np.array_equal(
+        np.flatnonzero(kind[seps] == ord("\n")), np.arange(width - 1, n, width)
+    ):
         return None
     # a cell's digits stop at its separator, or at its exponent mark; the digits after a
     # cell's "." are those before the stop (at seps[0] - 1 sits the block's last newline)
@@ -304,8 +294,7 @@ def _parse_block(
     if exponents:
         up = expd[shift[expd] < 0]
         r[up] *= _POW10.take(-shift[up], mode="clip")
-    cells = out[:n]
-    cells[...] = r
+    cells = r.astype(float)
     # r rounds to the double nearest D * 10**-shift unless r lies exactly halfway between
     # two doubles, where the low 11 of its 64 significand bits read 0x400 (halfway just
     # below a power of two included). Below 10**18 and with |shift| <= 27, |r| is 0 or
@@ -320,7 +309,7 @@ def _parse_block(
         cells[i] = float(data[starts[i]:ends[i]])
         if not math.isfinite(cells[i]):
             return None
-    return n
+    return cells
 
 
 def write_matrix(path, values) -> None:

@@ -270,7 +270,7 @@ def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
     """
     p = pi.values
     if conic:
-        index = np.flatnonzero(np.abs(p).max(axis=1) > tol.eq_tol)
+        index = np.flatnonzero(p.max(axis=1) > tol.eq_tol)  # P is clipped into [0, 1]
         if not index.size:
             raise DecompositionInfeasible("input is numerically zero; no rays to recover")
         points, targets, kind = p[index].T, p.T, "ray"

@@ -82,6 +82,16 @@ def test_ragged_rows_rejected(tmp_path):
     p.write_text("1,2\n3\n")
     with pytest.raises(ShapeError, match="row 2"):
         read_matrix(p)
+    # two 1-cell rows that pair up into one full row, in a file of the plain path's size
+    lines = ["0.5,0.25"] * (matrixio._PLAIN_MIN_BYTES // 8)
+    lines[-2:-1] = ["0.5", "0.25"]
+    p.write_text("\n".join(lines) + "\n")
+    if matrixio._PLAIN_PATH:
+        with open(p, "rb") as fh:
+            assert matrixio._read_plain_decimal(fh) is None
+    with pytest.raises(ShapeError, match=f"row {len(lines) - 2} has 1 cells"):
+        read_matrix(p)
+    assert outcome(read_matrix, p) == outcome(oracle_read_matrix, p)
 
 
 def test_empty_file_rejected(tmp_path):
@@ -246,15 +256,20 @@ def test_first_bad_cell_wins_over_a_later_non_utf8_byte(tmp_path):
         read_matrix(p)
 
 
-def test_non_utf8_byte_in_a_large_file(tmp_path):
+def test_non_utf8_byte_in_a_large_file(tmp_path, monkeypatch):
     p = tmp_path / "m.csv"
     lines = ["0.25,0.5,0.75"] * (matrixio._PLAIN_MIN_BYTES // 10)
     lines[-2] = "0.25,\xc3(,0.75"  # a lead byte without its continuation
     p.write_bytes("\n".join(lines).encode("latin-1"))
-    with pytest.raises(ParseError) as exc:
-        read_matrix(p)
-    assert (exc.value.line, exc.value.column) == (len(lines) - 1, 2)
-    assert "byte 0xc3 is not UTF-8" in str(exc.value)
+    # in one block, and in the last of many
+    for blocks in ("default", "small"):
+        if blocks == "small" and matrixio._PLAIN_PATH:
+            plain, parsed = read_in_small_blocks(monkeypatch, p)
+            assert plain is None and late_edit(parsed, 3 * (len(lines) - 2))
+        with pytest.raises(ParseError) as exc:
+            read_matrix(p)
+        assert (exc.value.line, exc.value.column) == (len(lines) - 1, 2)
+        assert "byte 0xc3 is not UTF-8" in str(exc.value)
 
 
 # ---- the plain-decimal path ----------------------------------------------------
@@ -270,6 +285,27 @@ def read_plain(cells, width):
     got = matrixio._read_plain_decimal(io.BytesIO(("\n".join(rows) + "\n").encode()))
     assert got is not None
     return got, np.array([float(c) for c in cells]).reshape(got.shape)
+
+
+def read_in_small_blocks(monkeypatch, p):
+    """_read_plain_decimal of the file p in blocks of at most 64 cells or 1 KiB, which
+    stay patched in; also what _parse_block returned for each block."""
+    monkeypatch.setattr(matrixio, "_BLOCK_CELLS", 64)
+    monkeypatch.setattr(matrixio, "_BLOCK_BYTES", 1024)
+    parse_block, parsed = matrixio._parse_block, []
+    monkeypatch.setattr(
+        matrixio, "_parse_block", lambda *args: parsed.append(parse_block(*args)) or parsed[-1]
+    )
+    with open(p, "rb") as fh:
+        return matrixio._read_plain_decimal(fh), parsed
+
+
+def late_edit(parsed, cells_before):
+    """Whether the blocks read ended with the one holding an edit made after cells_before
+    cells, and 7 or more blocks before it passed."""
+    head = parsed[:-1]
+    return (len(head) >= 7 and all(cells is not None for cells in head)
+            and sum(map(len, head)) <= cells_before)
 
 
 @needs_plain_path
@@ -453,6 +489,35 @@ def test_plain_path_reads_long_and_short_lines(tmp_path, shape, final_eol):
     assert got.tobytes() == vals.tobytes()
 
 
+class CountingReader(io.BytesIO):
+    """A binary file in memory that counts the bytes read from it."""
+
+    bytes_read = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        self.bytes_read += len(line)
+        return line
+
+
+@needs_plain_path
+def test_plain_path_reads_each_byte_once(tmp_path):
+    # a file of about 10 blocks; the bytes a block reads past its last newline are read
+    # again by the next, under 1 in 20
+    vals = np.random.default_rng(29).uniform(1e-3, 1, (200, 100))
+    p = tmp_path / "m.csv"
+    write_matrix(p, vals)
+    fh = CountingReader(p.read_bytes())
+    got = matrixio._read_plain_decimal(fh)
+    assert got.tobytes() == vals.tobytes()
+    assert p.stat().st_size <= fh.bytes_read < 1.5 * p.stat().st_size
+
+
 @functools.cache
 def block_test_cells():
     """Cells the reader must get exactly: decimals next to and at halfway points between
@@ -481,10 +546,13 @@ def test_block_size_never_changes_a_value(tmp_path, monkeypatch, block, width, f
     if width == 1000:  # the blocks after the first, sized at 2 bytes a cell
         assert len(lines[3]) > min(matrixio._BLOCK_BYTES, 2 * matrixio._BLOCK_CELLS)
     p = tmp_path / "m.csv"
-    p.write_bytes(("\n".join(lines) + "\n" * final_eol).encode())
-    with open(p, "rb") as fh:
-        got = matrixio._read_plain_decimal(fh)
-    assert got is not None and got.tobytes() == oracle_read_matrix(p).tobytes()
+    # and with a first line of cells a hundred times as long as the others
+    for first in (lines[0], ",".join(["0." + "0" * 200 + "5"] * width)):
+        lines[0] = first
+        p.write_bytes(("\n".join(lines) + "\n" * final_eol).encode())
+        with open(p, "rb") as fh:
+            got = matrixio._read_plain_decimal(fh)
+        assert got is not None and got.tobytes() == oracle_read_matrix(p).tobytes()
 
 
 PLAIN_FORMS = ["0", "-0", "1", "0.5", "-.25", "1.", "007.5", "0.30000000000000004",
@@ -503,6 +571,8 @@ def replace_first_cell(cell):
         lines[i] = ",".join([cell] + lines[i].split(",")[1:])
     return edit
 
+
+LAST_BLOCK = "last block"
 
 # each declined form, made at line i of a large plain-decimal file
 DECLINED = {
@@ -540,13 +610,20 @@ DECLINED = {
 }
 
 
-def edited_file(tmp_path, edit, at, eol, forms=PLAIN_FORMS):
-    """A large file of plain-decimal cells, edited at line at; its plain-path read."""
+def edited_file(tmp_path, monkeypatch, edit, at, eol, forms=PLAIN_FORMS):
+    """A large file of plain-decimal cells, edited at line at; its plain-path read. At
+    LAST_BLOCK the edit is made at line -2, which small blocks read in the last block,
+    after 7 or more without it (with LF line ends)."""
     lines = plain_body(np.random.default_rng(7), matrixio._PLAIN_MIN_BYTES // 20, 4, forms)
-    edit(lines, at)
+    edit(lines, -2 if at == LAST_BLOCK else at)
     p = tmp_path / "m.csv"
     p.write_bytes((eol.join(lines) + eol).encode())
     assert p.stat().st_size >= matrixio._PLAIN_MIN_BYTES
+    if at == LAST_BLOCK:
+        plain, parsed = read_in_small_blocks(monkeypatch, p)
+        unedited = matrixio._PLAIN_MIN_BYTES // 20 - 2
+        assert late_edit(parsed, 4 * unedited) or eol != "\n"
+        return p, plain
     with open(p, "rb") as fh:
         return p, matrixio._read_plain_decimal(fh)
 
@@ -561,20 +638,20 @@ def read_as_the_line_loop(p):
 
 @needs_plain_path
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
-@pytest.mark.parametrize("at", [0, 7, -2])
+@pytest.mark.parametrize("at", [0, 7, -2, LAST_BLOCK])
 @pytest.mark.parametrize("form", sorted(DECLINED))
-def test_declined_forms_read_as_the_line_loop_does(tmp_path, form, at, eol):
-    p, plain = edited_file(tmp_path, DECLINED[form], at, eol)
+def test_declined_forms_read_as_the_line_loop_does(tmp_path, monkeypatch, form, at, eol):
+    p, plain = edited_file(tmp_path, monkeypatch, DECLINED[form], at, eol)
     assert plain is None
     read_as_the_line_loop(p)
 
 
 @needs_plain_path
-@pytest.mark.parametrize("at", [0, 7, -2])
+@pytest.mark.parametrize("at", [0, 7, -2, LAST_BLOCK])
 @pytest.mark.parametrize("form", sorted(DECLINED))
-def test_declined_forms_among_exponent_cells(tmp_path, form, at):
+def test_declined_forms_among_exponent_cells(tmp_path, monkeypatch, form, at):
     forms = PLAIN_FORMS + EXPONENT_FORMS
-    p, plain = edited_file(tmp_path, DECLINED[form], at, "\n", forms)
+    p, plain = edited_file(tmp_path, monkeypatch, DECLINED[form], at, "\n", forms)
     assert plain is None
     read_as_the_line_loop(p)
 
@@ -589,11 +666,12 @@ EXPONENT_CELLS = {
 
 @needs_plain_path
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
-@pytest.mark.parametrize("at", [0, 7, -2])
+@pytest.mark.parametrize("at", [0, 7, -2, LAST_BLOCK])
 @pytest.mark.parametrize("form", sorted(EXPONENT_CELLS))
-def test_exponent_forms_read_as_the_line_loop_does(tmp_path, form, at, eol):
+def test_exponent_forms_read_as_the_line_loop_does(tmp_path, monkeypatch, form, at, eol):
     # a CR line end still declines the file
-    p, plain = edited_file(tmp_path, replace_first_cell(EXPONENT_CELLS[form]), at, eol)
+    edit = replace_first_cell(EXPONENT_CELLS[form])
+    p, plain = edited_file(tmp_path, monkeypatch, edit, at, eol)
     got = read_as_the_line_loop(p)
     assert (plain is None) == (eol == "\r\n")
     assert plain is None or plain.tobytes() == got[2]
