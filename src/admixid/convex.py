@@ -45,6 +45,7 @@ from .matrices import (
     DEFAULT_TOL,
     Tolerance,
     _first_nonzero_positive,
+    _scratch,
     first_distinct_rows,
     max_abs,
     numeric_rank,
@@ -121,23 +122,28 @@ def _fit(coords, target_coords, points, cols, target, unit_sum):
 
 
 def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance, qr=None,
-                    lifted=None):
+                    out=None):
     """(weights, misfits): column i the nonnegative weights of column i of targets,
     misfits[i] their misfit as _fit has it, from one QR and one lstsq. The
-    caller passes the QR as qr, and the targets with unit_sum's row of ones as
-    lifted, when it has them. _fit redoes the targets the module docstring
-    names, up to the first past eq_tol, once for each target that is not bit
-    for bit an earlier one (whose coordinates are then too)."""
+    caller passes the QR as qr when it has it. _fit redoes the targets the
+    module docstring names, up to the first past eq_tol, once for each target
+    that is not bit for bit an earlier one (whose coordinates are then too).
+    The |residual| of the weights, lifted with unit_sum, is formed in out where
+    it is given, an array of its shape. Where every misfit is within eq_tol,
+    the columns of the targets _fit redid are rewritten there; a later twin's
+    keeps its lstsq residual (a duplicate scan drops every twin but the
+    first)."""
     basis, g_coords = np.linalg.qr(generators) if qr is None else qr
     t_coords = basis.T @ targets
     lift = _lifted if unit_sum else np.asarray
     weights, _, rank, _ = np.linalg.lstsq(lift(g_coords), lift(t_coords), rcond=None)
-    # |lift(generators) @ weights - lift(targets)|, in the product's own buffer
-    resid = lift(generators) @ weights
-    resid -= lift(targets) if lifted is None else lifted
+    # |lift(generators) @ weights - lift(targets)|, with no lifted copy of the targets
+    gens = lift(generators)
+    resid = _less_lifted(np.matmul(gens, weights, out=out), targets)
     misfits = np.abs(resid, out=resid).max(axis=0, initial=0.0)
     cols = np.arange(generators.shape[1])
     redone: dict[bytes, list[int]] = {}  # coordinates -> the redone targets with them
+    fitted = []
     for i in np.flatnonzero((weights < 0).any(axis=0) | (rank < cols.size)):
         twins = redone.setdefault(t_coords[:, i].tobytes(), [])
         k = next((k for k in twins if targets[:, k].tobytes() == targets[:, i].tobytes()), None)
@@ -145,11 +151,23 @@ def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance, qr=None
             weights[:, i], misfits[i] = _fit(g_coords, t_coords[:, i], generators, cols,
                                              targets[:, i], unit_sum)
             twins.append(i)
+            fitted.append(i)
         else:
             weights[:, i], misfits[i] = weights[:, k], misfits[k]
         if misfits[i] > tol.eq_tol:
-            break  # every caller stops at the first such target
+            return weights, misfits  # every caller stops at the first such target
+    if fitted:
+        resid[:, fitted] = np.abs(_less_lifted(gens @ weights[:, fitted], targets[:, fitted]))
     return weights, misfits
+
+
+def _less_lifted(resid: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """resid less the targets, in place, and less the row of ones that lifts them
+    where resid has a row more."""
+    m = targets.shape[0]
+    resid[:m] -= targets
+    resid[m:] -= 1.0
+    return resid
 
 
 def has_unique_decompositions(generators, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -224,7 +242,7 @@ def _sweep(points, kept: list[int], scan_order, tol: Tolerance, unit_sum) -> lis
     return np.flatnonzero(alive).tolist()
 
 
-def _successive_projection(points, tol: Tolerance, conic: bool = False):
+def _successive_projection(points, tol: Tolerance, conic: bool = False, scratch=None):
     """SPA over the distinct columns: (reps, picks, rho).
 
     reps are the first-occurrence indices of the sweep's duplicate scan
@@ -235,28 +253,39 @@ def _successive_projection(points, tol: Tolerance, conic: bool = False):
     projects it out of all, until that norm is at most eq_tol (norms, not
     squares, which overflow for a huge eq_tol). The first pick is always
     taken, and never more picks than the rank of the candidates allows.
+
+    scratch, where it is given, is a contiguous array with room for the
+    lifted (with conic, the scaled) columns: it takes the scaled scan's keys,
+    then the residual. The projection is the one array of that size SPA
+    allocates, once the residual is filled.
     """
     p = _columns(points)
-    reps = np.asarray(first_distinct_rows(p.T, tol, scaled=conic))
+    reps = np.asarray(first_distinct_rows(p.T, tol, scaled=conic, scratch=scratch))
     if conic:
-        resid = p[:, reps] / p[:, reps].sum(axis=0)
+        # P's rows, which recovery passes as columns, kept by rows (F order) as
+        # p[:, reps] keeps them there; the rounding of the sums and norms follows it
+        resid = _scratch(scratch, (p.shape[0], reps.size), "F")
+        np.take(p.T, reps, axis=0, out=resid.T, mode="clip")
+        resid /= resid.sum(axis=0)
     elif p.flags.c_contiguous:
-        # the lifted columns in one copy ("clip" takes into out unbuffered), in the C
-        # order that _lifted gives them here, which the rounding of the norms follows
-        resid = np.empty((p.shape[0] + 1, reps.size))
+        # the lifted columns in one copy ("clip" takes into out unbuffered), in C order
+        resid = _scratch(scratch, (p.shape[0] + 1, reps.size))
         np.take(p, reps, axis=1, out=resid[:-1], mode="clip")
         resid[-1] = 1.0
     else:
         resid = _lifted(p[:, reps])
-    norms = np.linalg.norm(resid, axis=0)
-    tmp = np.empty_like(resid)  # the projection, then the squares, in place
+    # the projection, and first the squares that np.linalg.norm would take; einsum's
+    # outer product holds no buffer, and differs from np.multiply's only in the sign
+    # of a zero, which no sum, square or norm here sees
+    tmp = np.empty_like(resid)
+    norms = np.sqrt(np.add.reduce(np.square(resid, out=tmp), axis=0))
     picks: list[int] = []
     while len(picks) < min(resid.shape):
         j = int(np.argmax(norms))
         if picks and norms[j] <= tol.eq_tol:
             break
         u = resid[:, j] / norms[j]
-        resid -= np.multiply(u[:, None], u @ resid, out=tmp)
+        resid -= np.einsum("i,j->ij", u, u @ resid, out=tmp)
         picks.append(j)
         np.sqrt(np.add.reduce(np.square(resid, out=tmp), axis=0, out=norms), out=norms)
         norms[picks] = 0.0

@@ -112,40 +112,31 @@ class CounterexamplePair:
     def to_json(self, indent: int | None = 2) -> str:
         """json.dumps(self.to_dict(), indent=indent), byte for byte.
 
-        The four matrices are written unindented by one matrixio._json_rows call
-        (a vectorized exact repr on large matrices, json's C encoder on small
-        ones) and laid out afterwards; json.dumps writes the rest.
+        The four matrices are written, with json's separators for the indent,
+        by one matrixio._json_rows call (a vectorized exact repr on large
+        matrices, json's C encoder on small ones); json.dumps writes the rest.
         """
         pairs = {"original": self.original, "alternative": self.alternative}
-        rows = iter(_json_rows([m.values for p in pairs.values() for m in (p.F, p.Q)]))
+        matrices = [m.values for p in pairs.values() for m in (p.F, p.Q)]
         if indent is None:
+            rows = iter(_json_rows(matrices))
             body = "".join(
                 f', "{key}": {{"F": [[{next(rows)}]], "Q": [[{next(rows)}]]}}'
                 for key in pairs
             )
             return json.dumps(self._head())[:-1] + body + "}"
         ind = " " * indent
+        # a matrix sits at depth 2, its rows at depth 3 and their cells at depth 4
+        d2, d3, d4 = (f"\n{ind * depth}" for depth in (2, 3, 4))
+        rows = iter(_json_rows(matrices, f",{d4}", f"{d3}],{d3}[{d4}"))
         # the head is a nonempty dict, so its text ends in "\n}"
         parts = [json.dumps(self._head(), indent=indent)[:-2]]
         for key in pairs:
             body = ",".join(
-                f'\n{ind * 2}"{name}": {_indented_matrix(next(rows), ind, 2)}'
-                for name in ("F", "Q")
+                f'{d2}"{name}": [{d3}[{d4}{next(rows)}{d3}]{d2}]' for name in ("F", "Q")
             )
             parts.append(f',\n{ind}"{key}": {{{body}\n{ind}}}')
         return "".join(parts) + "\n}"
-
-
-def _indented_matrix(text: str, ind: str, depth: int) -> str:
-    """json.dumps(rows, indent=len(ind)) at depth for the text of a nonempty float
-    matrix from _json_rows: json.dumps(rows)[2:-2].
-
-    That text holds only ", " between cells, "], [" between rows and float reprs, so
-    two replaces, "], [" first, give json's layout.
-    """
-    outer, row, cell = ("\n" + ind * (depth + i) for i in range(3))
-    text = text.replace("], [", f"{row}],{row}[{cell}").replace(", ", f",{cell}")
-    return f"[{row}[{cell}{text}{row}]{outer}]"
 
 
 def _certify(

@@ -8,6 +8,7 @@ admixture proportions with unit column sums. Entries of the product stay in
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -71,8 +72,16 @@ def max_abs_distances(a, b) -> np.ndarray:
     return cdist(np.asarray(a, dtype=float), np.asarray(b, dtype=float), "chebyshev")
 
 
+def _scratch(buf, shape, order: str = "C") -> np.ndarray:
+    """An uninitialized array of shape, laid out in order: a view of the first cells
+    of the contiguous buf where it is given (it must hold as many), else a new one."""
+    if buf is None:
+        return np.empty(shape, order=order)
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape, order=order)
+
+
 def first_distinct_rows(
-    a, tol: Tolerance = DEFAULT_TOL, scaled: bool = False
+    a, tol: Tolerance = DEFAULT_TOL, scaled: bool = False, scratch=None
 ) -> list[int]:
     """Indices of the rows of a kept by a greedy first-occurrence pass.
 
@@ -85,7 +94,9 @@ def first_distinct_rows(
     row is compared, in a single array operation, only with the kept rows
     before it inside that window. A row alone in its window is kept without
     a comparison, so the loop runs only over the rows with a neighbour.
-    Memory stays linear in the size of a.
+    Memory stays linear in the size of a. With scaled, the unit directions
+    take an array of a's size: in scratch's first cells where it is given,
+    C-ordered, which is a's own layout in every caller.
     """
     a = np.asarray(a, dtype=float)
     n, d = a.shape
@@ -95,8 +106,10 @@ def first_distinct_rows(
     # unit directions by |u_x - u_y| <= 2 |s x - y| / |y| <= 2 sqrt(d) eq_tol / |y|;
     # the windows are twice as wide, for rounding
     if scaled:
-        norms = np.linalg.norm(a, axis=1)
-        keys = a / norms[:, None]
+        # np.linalg.norm(a, axis=1): the squares, summed by row, in the keys' buffer
+        keys = np.square(a, out=None if scratch is None else _scratch(scratch, a.shape))
+        norms = np.sqrt(np.add.reduce(keys, axis=1))
+        keys = np.divide(a, norms[:, None], out=keys)
         width = 4.0 * np.sqrt(d) * tol.eq_tol / norms + 1e-12
     else:
         keys = a

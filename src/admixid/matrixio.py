@@ -101,9 +101,10 @@ _MAX_FLOAT = np.finfo(float).max
 # below these cell counts "%.17g" % row and json.dumps are the faster writers (_vectorized)
 _G17_MIN_CELLS = 512
 _REPR_MIN_CELLS = 640
-# a block's largest temporaries, its text fields (at most 40 bytes a cell) and the
-# long doubles (16), stay under 128 KiB
-_TEXT_BLOCK_CELLS = 3072
+# a block's largest temporaries, its text fields (40 bytes a cell with one-byte
+# separators, more with json's indented ones) and the long doubles (16), stay under
+# 128 KiB: _TEXT_BLOCK_BYTES of fields a block
+_TEXT_BLOCK_BYTES = 3072 * 40
 # a cell's field: its sign and "0.000" prefix (7 bytes), 17 digits and a point (18), the
 # exponent (4); _BODY bytes in all, then its separator, padded to a multiple of 8
 _BODY = 29
@@ -326,13 +327,18 @@ def write_matrix(path, values) -> None:
         fh.write("".join(fmt % tuple(row) for row in arr.tolist()))
 
 
-def _json_rows(matrices: list) -> list[str]:
+def _json_rows(matrices: list, cell: str = ", ", row: str = "], [") -> list[str]:
     """json.dumps(m.tolist())[2:-2] of each nonempty 2-D float matrix: its rows, cells
-    joined by ", " and rows by "], [", without the outer brackets."""
+    joined by ", " and rows by "], [", without the outer brackets; or joined by cell
+    and row, such as json's indented separators, where the caller gives them."""
     if _vectorized(matrices, _REPR_MIN_CELLS):
-        text = b"".join(_float_text(matrices, (b", ", b"], [", b"\n"), shortest=True))
-        return text.decode("ascii").split("\n")[:-1]
-    return [json.dumps(m.tolist())[2:-2] for m in matrices]
+        seps = (cell.encode(), row.encode(), b"|")  # no cell or separator holds a "|"
+        text = b"".join(_float_text(matrices, seps, shortest=True))
+        return text.decode("ascii").split("|")[:-1]
+    # json's C encoder puts cell between rows too, "]" + cell + "[" where row goes
+    texts = [json.dumps(m.tolist(), separators=(cell, ": "))[2:-2] for m in matrices]
+    between = f"]{cell}["
+    return texts if row == between else [t.replace(between, row) for t in texts]
 
 
 def _vectorized(matrices: list, min_cells: int) -> bool:
@@ -360,9 +366,15 @@ def _float_text(matrices: list, seps: tuple, shortest: bool):
     width = max(map(len, seps))
     table = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in seps), np.uint8)
     table = table.reshape(3, width)
-    for i in range(0, flat.size, _TEXT_BLOCK_CELLS):
-        block = slice(i, i + _TEXT_BLOCK_CELLS)
+    cells = _TEXT_BLOCK_BYTES // _field_bytes(width)
+    for i in range(0, flat.size, cells):
+        block = slice(i, i + cells)
         yield _format_block(flat[block], code[block], table, shortest)
+
+
+def _field_bytes(width: int) -> int:
+    """A cell's field: _BODY bytes, then a separator of up to width, padded to 8."""
+    return -(-(_BODY + width) // 8) * 8
 
 
 def _format_block(x: np.ndarray, code: np.ndarray, seps: np.ndarray, shortest: bool) -> bytes:
@@ -376,7 +388,7 @@ def _format_block(x: np.ndarray, code: np.ndarray, seps: np.ndarray, shortest: b
     # (repr), with the point after the digit at index X, and repr writes x.0
     plain = (X >= -4) & (X < 17 - shortest)
     point = np.where(plain, X, 0)
-    out = np.zeros((n, -(-(_BODY + seps.shape[1]) // 8) * 8), np.uint8)
+    out = np.zeros((n, _field_bytes(seps.shape[1])), np.uint8)
     # bytes 0-6: the sign, then "0." and up to three zeros before the digits of a cell
     # below 1; byte 7: D's first digit; bytes 8-23: its other 16, as four groups of four
     out.view(np.uint64)[:, 0] = _SIGN_PREFIX.take(

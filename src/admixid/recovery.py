@@ -41,6 +41,7 @@ from .matrices import (
     FactorPair,
     FrequencyMatrix,
     Tolerance,
+    _scratch,
     first_distinct_rows,
     max_abs,
     max_abs_distances,
@@ -139,7 +140,10 @@ def _finalize(
     regime: str,
     tol: Tolerance,
     warnings: list[str],
+    scratch: np.ndarray | None = None,
 ) -> RecoveredFactorization:
+    """The validated recovery; F Q - P is formed in scratch's first cells where the
+    caller passes a contiguous array of at least P's size."""
     # capped so that a huge finite eq_tol does not widen to an infinite one
     wide = Tolerance(eq_tol=min(10 * tol.eq_tol, np.finfo(float).max), rank_tol=tol.rank_tol)
     try:
@@ -148,7 +152,9 @@ def _finalize(
     except ValueError as exc:
         # recovered factors outside the unit box: the input is outside the regime
         raise RecoveryError(str(exc)) from None
-    residual = max_abs(F.values @ Q.values - pi.values)
+    diff = np.matmul(F.values, Q.values, out=_scratch(scratch, pi.values.shape))
+    diff -= pi.values
+    residual = float(np.abs(diff, out=diff).max())
     if residual > 10 * tol.eq_tol:
         raise DecompositionInfeasible(
             f"reconstruction residual {residual:.3g} exceeds 10x eq_tol"
@@ -214,13 +220,20 @@ def _picks_stand_clear(points, reps, picks, tol: Tolerance) -> bool:
     return True
 
 
+def _margins(resid: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of the columns cols of a pass's |residual|, squared in
+    place: lifted, the hypot of each one's misfit and of its weight sum's distance
+    from 1."""
+    return np.sqrt(np.add.reduce(np.square(resid, out=resid), axis=0)[cols])
+
+
 def _pass_over(targets: np.ndarray, kept: np.ndarray, tol: Tolerance, conic: bool,
-               over: np.ndarray | None):
+               out: np.ndarray):
     """(generators, r, weights, misfits): the decomposition pass of the columns
     of targets over its kept columns, or with conic over those scaled by
     eps, where rays @ eps = all-ones gives Q unit column sums; r is the
-    generators' QR factor. over is the targets lifted by a row of ones (with
-    conic the targets), or None where the pass is to lift them itself.
+    generators' QR factor. The pass leaves its |residual| in out, an array of
+    the targets' shape lifted by a row of ones (without, with conic).
     Raises where the kept columns are dependent (affinely, or linearly with
     conic) or no positive scaling exists."""
     gens = targets[:, kept]
@@ -240,7 +253,7 @@ def _pass_over(targets: np.ndarray, kept: np.ndarray, tol: Tolerance, conic: boo
             raise ScalingInfeasible(f"column-sum scaling has a nonpositive weight {eps.min():.3g}")
         gens = gens * eps
     qr = np.linalg.qr(gens)
-    return (gens, qr[1], *_decompositions(targets, gens, not conic, tol, qr, over))
+    return (gens, qr[1], *_decompositions(targets, gens, not conic, tol, qr, out))
 
 
 def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
@@ -267,32 +280,41 @@ def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
     find them affinely dependent, and this raises NonUniqueDecomposition.
     Where the certificate cannot decide, the sweep over SPA's distinct
     candidates finds the extreme ones, and the same pass makes every refusal.
+
+    Two arrays of the lifted P's size (with conic, P's) are all the P-sized
+    ones this allocates. SPA allocates its projection, freed on its return;
+    scratch, shaped as the pass's residual, serves every stage in turn:
+
+    * the scaled scan's keys, then SPA's residual;
+    * the lifted copy of P whose columns the picks must stand clear of (with
+      conic, P itself serves);
+    * the pass's |residual|, whose column norms are the non-picks' margins;
+    * _finalize's F Q - P.
     """
     p = pi.values
     if conic:
         index = np.flatnonzero(p.max(axis=1) > tol.eq_tol)  # P is clipped into [0, 1]
         if not index.size:
             raise DecompositionInfeasible("input is numerically zero; no rays to recover")
-        points, targets, kind = p[index].T, p.T, "ray"
+        # P's rows as columns, copied only where some row is zero
+        points, targets, kind = (p if index.size == p.shape[0] else p[index]).T, p.T, "ray"
     else:
         index, points, targets, kind = np.arange(p.shape[1]), p, p, "column"
-    reps, picks, rho = _successive_projection(points, tol, conic)
-    # one lifted copy of P for the margin solves and the certificate's pass, made once
-    # SPA's two buffers of its size are freed
-    over = targets if conic else _lifted(p)
-    clear = _picks_stand_clear(over, index[reps], index[picks], tol)
+    scratch = np.empty(targets.shape if conic else (p.shape[0] + 1, p.shape[1]))
+    reps, picks, rho = _successive_projection(points, tol, conic, scratch)
+    if not conic:
+        scratch[:-1] = p
+        scratch[-1] = 1.0
+    clear = _picks_stand_clear(targets if conic else scratch, index[reps], index[picks], tol)
     # the certificate where the picks stand clear; it breaks or falls through to the sweep
     for certify in (clear, False):
         kept = index[picks if certify else _sweep(points, reps, None, tol, not conic)]
         try:
-            gens, r, weights, misfits = _pass_over(targets, kept, tol, conic, over)
+            gens, r, weights, misfits = _pass_over(targets, kept, tol, conic, scratch)
         except (NonUniqueDecomposition, ScalingInfeasible):
             if not certify:
                 raise
             continue
-        # freed before the margins and _finalize take temporaries of its size; the
-        # sweep's pass lifts its own
-        over = None
         bad = np.flatnonzero(misfits > tol.eq_tol)
         if not certify:
             if bad.size:
@@ -316,17 +338,14 @@ def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
                         "them are not unique"
                     )
             continue
-        inside = np.setdiff1d(index[reps], kept)
-        gap = np.hypot(
-            np.linalg.norm(gens @ weights[:, inside] - targets[:, inside], axis=0),
-            0.0 if conic else weights[:, inside].sum(axis=0) - 1.0,
-        )
+        gap = _margins(scratch, np.setdiff1d(index[reps], kept))
         if not (gap > tol.eq_tol / 2).any():
             break
     f_vals, q_vals = (weights.T.copy(), gens.T) if conic else (gens, weights)
     warnings = _near_duplicate_warnings(targets[:, kept].T, kind, tol)
     warnings += _conditioning_warnings(r, kind, conic, tol)
-    return _finalize(pi, f_vals, q_vals, "anchorF" if conic else "anchorQ", tol, warnings)
+    return _finalize(pi, f_vals, q_vals, "anchorF" if conic else "anchorQ", tol, warnings,
+                     scratch)
 
 
 def recover_anchor_Q(

@@ -83,8 +83,13 @@ class GenotypeMatrix:
         arr = np.asarray(self.values)
         if arr.ndim != 2:
             raise ValueError("genotype matrix must be 2-D")
-        # an integer array is integral already (a uint64 past int64 wraps negative)
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError("genotype matrix must have at least one row and column")
+        # an integer array is integral already (a uint64 past int64 wraps negative);
+        # a NaN or an infinity is refused before the cast, which would warn on it
         integral = arr.dtype.kind in "iu"
+        if not integral and not np.isfinite(arr).all():
+            raise EntryOutOfRange("genotypes must be integers in {0, 1, 2}")
         as_int = arr.astype(np.int64) if integral else np.rint(arr).astype(np.int64)
         inexact = not integral and np.any(np.abs(arr - as_int) > 0)
         if inexact or as_int.min() < 0 or as_int.max() > 2:

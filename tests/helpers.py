@@ -118,6 +118,14 @@ def decomposition_misfits_oracle(targets, generators, weights, unit_sum):
     return np.abs(generators @ weights - targets).max(axis=0, initial=0.0)
 
 
+def margins_oracle(targets, generators, weights, unit_sum):
+    """recovery._margins of a pass's target columns and their weights, as one expression
+    per column: the Euclidean norm of generators @ w - t, with unit_sum taken by hypot
+    with the weight sum's distance from 1."""
+    gap = np.linalg.norm(generators @ weights - targets, axis=0)
+    return np.hypot(gap, weights.sum(axis=0) - 1.0) if unit_sum else gap
+
+
 def picks_stand_clear_oracle(points, reps, picks, tol):
     """recovery._picks_stand_clear with one NNLS per pick: each pick's distance,
     in the picks' span, to the cone of the other columns among reps, against

@@ -331,7 +331,8 @@ def test_batched_decompositions_match_one_fit_per_column(seed, d, data, unit_sum
 def test_in_place_misfits_equal_the_one_expression(shape, unit_sum):
     # targets near positive combinations of the generators: the one lstsq gives every
     # weight, no column is redone, and each misfit is the residual's, bit for bit, with
-    # the lifted targets made by the pass or handed to it
+    # the residual in an array of the pass's own or in one handed to it, which it
+    # leaves holding the |residual|
     d, k, n = shape
     rng = np.random.default_rng(d)
     g = rng.uniform(0.05, 0.95, size=(d, k))
@@ -339,12 +340,13 @@ def test_in_place_misfits_equal_the_one_expression(shape, unit_sum):
     if unit_sum:
         w /= w.sum(axis=0)
     targets = g @ w + rng.uniform(-1e-3, 1e-3, size=(d, n))
-    for lifted in (None, convex._lifted(targets) if unit_sum else targets):
-        weights, misfits = convex._decompositions(targets, g, unit_sum, DEFAULT_TOL,
-                                                  lifted=lifted)
+    for out in (None, np.full((d + unit_sum, n), np.nan)):
+        weights, misfits = convex._decompositions(targets, g, unit_sum, DEFAULT_TOL, out=out)
         assert (weights > 0).all()
         want = decomposition_misfits_oracle(targets, g, weights, unit_sum)
         assert misfits.tobytes() == want.tobytes()
+        if out is not None:
+            assert out.max(axis=0).tobytes() == want.tobytes()
 
 
 def test_rank_deficient_generators_decompose_exactly_as_one_fit_per_column(monkeypatch):

@@ -9,6 +9,8 @@ recover_anchor_F, which find their extreme columns and rays by successive
 projection, are held to their sweep paths.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from admixid import (
     recover_anchor_F,
     recover_anchor_Q,
 )
+from admixid import convex, recovery
 from admixid.conditions import anchor_Q_columns
 from admixid.convex import (
     _decompositions,
@@ -41,6 +44,7 @@ from admixid.recovery import (
 
 from helpers import (
     decomposes_oracle,
+    margins_oracle,
     minimal_columns,
     minimal_rows,
     rays_equal_up_to_scaling,
@@ -342,6 +346,89 @@ def test_recover_anchor_F_matches_the_sweep(seed, size, shape, sigma, gap, copie
     p = planted_duplicates(rng, p, copies, gap * TOL.eq_tol, True)
     pi = ExpectedFreqMatrix(np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, 1.0))
     assert recovery_outcome(recover_anchor_F, pi) == recovery_outcome(oracle_recover_anchor_F, pi)
+
+
+def margins_match_the_oracle(pi, conic):
+    """Recover pi with the certificate's margins taken from the oracle in place of the
+    pass's residual, and assert that the outcome is the library's own and that each
+    margin it reads is the oracle's within rounding; the number of targets each
+    certificate pass redid by NNLS."""
+    passes, margins = [], []
+    real_pass, real_margins, real_fit = recovery._pass_over, recovery._margins, convex._fit
+
+    def fit(*args):
+        if passes and passes[-1][1] is None:  # inside a pass, not the sweep
+            passes[-1][-1] += 1
+        return real_fit(*args)
+
+    def pass_over(targets, kept, tol, conic, out):
+        passes.append([targets, None, None, 0])
+        gens, r, weights, misfits = real_pass(targets, kept, tol, conic, out)
+        passes[-1][1:3] = gens, weights
+        return gens, r, weights, misfits
+
+    def oracle(resid, cols):
+        targets, gens, weights, redone = passes[-1]
+        targets, weights = targets[:, cols], weights[:, cols]
+        want = margins_oracle(targets, gens, weights, not conic)
+        # each residual entry rounds within a few ulps of its largest term, in both
+        scale = np.abs(gens).max() * np.abs(weights).sum(axis=0) + np.abs(targets).max(axis=0)
+        bound = (gens.shape[1] + 2) * np.finfo(float).eps * (scale + 1) * len(resid) ** 0.5
+        margins.append((real_margins(resid, cols), want, bound, redone))
+        return want
+
+    recover = recover_anchor_F if conic else recover_anchor_Q
+    with mock.patch.object(recovery, "_pass_over", pass_over), \
+            mock.patch.object(recovery, "_margins", oracle), \
+            mock.patch.object(convex, "_fit", fit):
+        outcome = recovery_outcome(recover, pi)
+    assert outcome == recovery_outcome(recover, pi)
+    for got, want, bound, _ in margins:
+        assert (np.abs(got - want) <= bound).all()
+    return [redone for *_, redone in margins]
+
+
+def noisy_member(seed, size, shape, conic, sigma, gap, copies):
+    """A product of shape with near-duplicate columns (rows, scaled, with conic) and
+    Gaussian noise of sigma, clipped into [0, 1]."""
+    k, m, n = size
+    rng = np.random.default_rng(seed)
+    p = low_rank_product(rng, k, max(m, k), max(n, k), shape)
+    if conic:
+        p = planted_duplicates(rng, p / 3, copies, gap * TOL.eq_tol, True)
+    else:
+        p = planted_duplicates(rng, p.T, copies, gap * TOL.eq_tol, False).T
+    return ExpectedFreqMatrix(np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, 1.0))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(seed=seeds, size=sizes, shape=st.sampled_from(["anchorF", "anchorQ"]),
+       conic=st.booleans(), sigma=st.sampled_from([0.0, 3e-10, 1e-9, 2e-9]), gap=gaps,
+       copies=st.integers(0, 4))
+def test_margins_from_the_pass_residual_match_the_oracle(
+    seed, size, shape, conic, sigma, gap, copies
+):
+    # noise of 1e-9 puts a non-pick's margin near eq_tol/2, on either side; the margins
+    # read from the pass's residual are the oracle's within rounding, NNLS-redone
+    # targets included, and deciding by the oracle's gives the same recovery
+    margins_match_the_oracle(noisy_member(seed, size, shape, conic, sigma, gap, copies), conic)
+
+
+# in each, a non-pick the pass redoes by NNLS has a margin 6.8e-11 to 1.2e-8 from the
+# one its lstsq weights leave, so a margin read before the rewrite is off
+@pytest.mark.parametrize("case", [
+    dict(seed=2351977435, size=(3, 15, 6), shape="anchorF", conic=False, sigma=3e-10,
+         gap=0.5, copies=3),
+    dict(seed=2392359711, size=(3, 18, 8), shape="anchorF", conic=False, sigma=2e-9,
+         gap=0.5, copies=1),
+    dict(seed=2055335865, size=(4, 5, 2), shape="anchorF", conic=True, sigma=2e-9,
+         gap=2.0, copies=1),
+    dict(seed=2468166928, size=(4, 6, 4), shape="anchorF", conic=True, sigma=1e-8,
+         gap=0.5, copies=2),
+])
+def test_margins_of_nnls_redone_targets_match_the_oracle(case):
+    # a certificate pass that redoes targets by NNLS rewrites their residual columns
+    assert any(margins_match_the_oracle(noisy_member(**case), case["conic"]))
 
 
 def test_span_svd_cuts_at_roundoff():

@@ -1,5 +1,6 @@
 """Constructive recovery of (F, Q, K) from the expected frequency matrix."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -420,3 +421,23 @@ def test_picks_without_a_bound_are_measured_by_nnls(case, monkeypatch):
     assert got == want
     # a refusal stops at the first pick that fails
     assert calls == (picks.size if want else 1)
+
+
+@pytest.mark.parametrize("model_class", ["anchorQ", "anchorF"])
+def test_anchor_recovery_holds_two_p_sized_arrays_at_most(model_class):
+    # one scratch array serves SPA's residual, the lifted copy of P, the pass's residual,
+    # the margins and F Q - P, next to SPA's projection: a third P-sized array at once
+    # would take the traced peak past 2.05 lifted copies of P
+    pair = generate_instance(model_class, 5, 400, 300, 1)
+    pi = ExpectedFreqMatrix(pair.F.values @ pair.Q.values)
+    recover = recover_anchor_Q if model_class == "anchorQ" else recover_anchor_F
+    recover(pi)  # warm: first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        rec = recover(pi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.n_pops == 5
+    lifted = (pi.values.shape[0] + 1) * pi.values.shape[1] * pi.values.itemsize
+    assert peak <= 2.05 * lifted

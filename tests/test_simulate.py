@@ -1,6 +1,7 @@
 """Genotype simulation and random instance generation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,21 @@ def test_integer_genotypes_checked_by_range_only(dtype):
     if np.issubdtype(dtype, np.signedinteger):
         with pytest.raises(EntryOutOfRange):
             GenotypeMatrix(np.array([[0, -1]], dtype=dtype))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("dtype", [float, np.int8])
+def test_empty_genotype_matrix_rejected(shape, dtype):
+    with pytest.raises(ValueError, match="at least one row and column"):
+        GenotypeMatrix(np.zeros(shape, dtype=dtype))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_genotypes_rejected_without_a_warning(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EntryOutOfRange):
+            GenotypeMatrix([[0.0, bad], [1.0, 2.0]])
 
 
 def test_integer_genotypes_outside_int64_rejected():
