@@ -112,19 +112,14 @@ class CounterexamplePair:
     def to_json(self, indent: int | None = 2) -> str:
         """json.dumps(self.to_dict(), indent=indent), byte for byte.
 
-        The four matrices are written, with json's separators for the indent,
-        by one matrixio._json_rows call (a vectorized exact repr on large
-        matrices, json's C encoder on small ones); json.dumps writes the rest.
+        With an indent, one matrixio._json_rows call writes the four matrices with
+        json's separators for it (a vectorized exact repr on large matrices, json's
+        C encoder on small ones); json.dumps writes the rest.
         """
+        if indent is None:
+            return json.dumps(self.to_dict())
         pairs = {"original": self.original, "alternative": self.alternative}
         matrices = [m.values for p in pairs.values() for m in (p.F, p.Q)]
-        if indent is None:
-            rows = iter(_json_rows(matrices))
-            body = "".join(
-                f', "{key}": {{"F": [[{next(rows)}]], "Q": [[{next(rows)}]]}}'
-                for key in pairs
-            )
-            return json.dumps(self._head())[:-1] + body + "}"
         ind = " " * indent
         # a matrix sits at depth 2, its rows at depth 3 and their cells at depth 4
         d2, d3, d4 = (f"\n{ind * depth}" for depth in (2, 3, 4))

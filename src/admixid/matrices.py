@@ -8,7 +8,6 @@ admixture proportions with unit column sums. Entries of the product stay in
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ __all__ = [
     "FactorPair",
     "max_abs",
     "max_abs_distances",
-    "first_distinct_rows",
-    "span_svd",
     "multiply",
     "numeric_rank",
     "null_space_vector",
@@ -70,81 +67,6 @@ def max_abs_distances(a, b) -> np.ndarray:
     Memory is one float per pair of rows, never one per pair of entries.
     """
     return cdist(np.asarray(a, dtype=float), np.asarray(b, dtype=float), "chebyshev")
-
-
-def _scratch(buf, shape, order: str = "C") -> np.ndarray:
-    """An uninitialized array of shape, laid out in order: a view of the first cells
-    of the contiguous buf where it is given (it must hold as many), else a new one."""
-    if buf is None:
-        return np.empty(shape, order=order)
-    return buf.reshape(-1)[:math.prod(shape)].reshape(shape, order=order)
-
-
-def first_distinct_rows(
-    a, tol: Tolerance = DEFAULT_TOL, scaled: bool = False, scratch=None
-) -> list[int]:
-    """Indices of the rows of a kept by a greedy first-occurrence pass.
-
-    Row j = y is kept unless it lies within eq_tol (max-abs) of a row kept
-    before it; with scaled, unless s x does for a kept row x, where the
-    least-squares scale s = x.y / x.x must be positive (rows must then be
-    nonzero).
-    A match pins one coordinate of the two rows (of their unit-norm
-    directions when scaled) to within a known width, so after one sort each
-    row is compared, in a single array operation, only with the kept rows
-    before it inside that window. A row alone in its window is kept without
-    a comparison, so the loop runs only over the rows with a neighbour.
-    Memory stays linear in the size of a. With scaled, the unit directions
-    take an array of a's size: in scratch's first cells where it is given,
-    C-ordered, which is a's own layout in every caller.
-    """
-    a = np.asarray(a, dtype=float)
-    n, d = a.shape
-    if n == 0 or d == 0:
-        return list(range(min(n, 1)))
-    # a match moves any one coordinate by at most eq_tol, or any one of the
-    # unit directions by |u_x - u_y| <= 2 |s x - y| / |y| <= 2 sqrt(d) eq_tol / |y|;
-    # the windows are twice as wide, for rounding
-    if scaled:
-        # np.linalg.norm(a, axis=1): the squares, summed by row, in the keys' buffer
-        keys = np.square(a, out=None if scratch is None else _scratch(scratch, a.shape))
-        norms = np.sqrt(np.add.reduce(keys, axis=1))
-        keys = np.divide(a, norms[:, None], out=keys)
-        width = 4.0 * np.sqrt(d) * tol.eq_tol / norms + 1e-12
-    else:
-        keys = a
-        width = 2.0 * tol.eq_tol
-    key = keys[:, int(np.argmax(np.ptp(keys, axis=0)))]
-    order = np.argsort(key, kind="stable")
-    lo = np.searchsorted(key[order], key - width, side="left")
-    hi = np.searchsorted(key[order], key + width, side="right")
-    # a window always holds its own row; one that holds no other keeps it, but may
-    # lie inside a later row's wider (scaled) window, so a row sees only earlier ones
-    kept = hi - lo == 1
-    for j in np.flatnonzero(~kept):
-        near = order[lo[j]:hi[j]]
-        near = near[kept[near] & (near < j)]
-        if near.size:
-            x, positive = a[near], True
-            if scaled:
-                scale = (x @ a[j]) / np.einsum("ij,ij->i", x, x)
-                x, positive = scale[:, None] * x, scale > 0
-            if (positive & (np.abs(x - a[j]).max(axis=1) <= tol.eq_tol)).any():
-                continue
-        kept[j] = True
-    return np.flatnonzero(kept).tolist()
-
-
-def span_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD (u, s, vt) of a 2-D array, cut at roundoff rather than rank_tol.
-
-    Singular values up to max(m, n) * eps * s_max are dropped, so the column
-    coordinates s[:, None] * vt keep everything of a above roundoff.
-    """
-    arr = np.asarray(a, dtype=float)
-    u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    r = int(np.sum(s > max(arr.shape) * np.finfo(float).eps * s.max(initial=0.0)))
-    return u[:, :r], s[:r], vt[:r]
 
 
 def _check_unit_range(what: str, lo, hi, slack: float) -> None:

@@ -327,18 +327,17 @@ def write_matrix(path, values) -> None:
         fh.write("".join(fmt % tuple(row) for row in arr.tolist()))
 
 
-def _json_rows(matrices: list, cell: str = ", ", row: str = "], [") -> list[str]:
-    """json.dumps(m.tolist())[2:-2] of each nonempty 2-D float matrix: its rows, cells
-    joined by ", " and rows by "], [", without the outer brackets; or joined by cell
-    and row, such as json's indented separators, where the caller gives them."""
+def _json_rows(matrices: list, cell: str, row: str) -> list[str]:
+    """The text of each nonempty 2-D float matrix as json writes it, without the outer
+    brackets: its cells joined by cell and its rows by row, such as json's indented
+    separators, or ", " and "], [" for json.dumps(m.tolist())[2:-2]."""
     if _vectorized(matrices, _REPR_MIN_CELLS):
         seps = (cell.encode(), row.encode(), b"|")  # no cell or separator holds a "|"
         text = b"".join(_float_text(matrices, seps, shortest=True))
         return text.decode("ascii").split("|")[:-1]
     # json's C encoder puts cell between rows too, "]" + cell + "[" where row goes
     texts = [json.dumps(m.tolist(), separators=(cell, ": "))[2:-2] for m in matrices]
-    between = f"]{cell}["
-    return texts if row == between else [t.replace(between, row) for t in texts]
+    return [t.replace(f"]{cell}[", row) for t in texts]
 
 
 def _vectorized(matrices: list, min_cells: int) -> bool:

@@ -9,31 +9,50 @@ Each identifiable regime has a constructive inverse:
 * unadmixed: F's columns are the distinct columns of P and Q assigns each
   individual to its matching column.
 
-The anchor regimes mirror each other (rows scaled to unit sum have their
-cone's extreme rays as their hull's vertices), and one certified SPA engine
-serves both (_recover_anchors).
-
 All three validate their output (class membership and reconstruction
 residual) before returning, so success certifies that P belongs to the
 regime's image.
+
+The anchor regimes mirror each other (rows scaled to unit sum have their
+cone's extreme rays as their hull's vertices), and one certified engine
+serves both (_recover_anchors). The greedy sweep (_sweep) reduces the
+candidates to their extreme points, the unique minimal generating subset
+(without the unit sum, to its extreme rays), with one solve per column. The
+successive projection algorithm (SPA; Gillis & Vavasis 2014, Arora et al.
+2012) is the fast way to the same points: with a row of ones appended, so
+that convex structure becomes linear, it repeatedly takes the column of
+largest residual norm and projects it out. In exact arithmetic each pick is
+a vertex of the hull, and the picks are all of them when every column
+decomposes over them; scaled to unit sum instead, nonnegative columns give
+the extreme rays of their cone. The picks are only a candidate set: the
+pass that decomposes over them certifies them and, where that cannot
+decide, the sweep runs on SPA's distinct columns.
+
+The nonnegative least-squares solves run in coordinates: the sweep in the
+column coordinates of the thin SVD of the columns left after near-duplicates
+are collapsed (r rows, r their rank above roundoff), a decomposition in an
+orthonormal basis of its generators' span. The part of a residual outside a
+subspace that holds the generators does not depend on the weights, so the
+minimizer is the full-space one, and each solve has r + 1 rows instead of
+one per entry. A decomposition pass is one lstsq over all its targets: with
+generators of full rank a solution with no negative weight is the NNLS one
+(Lawson & Hanson 1974), so NNLS runs only for a target with a weight below
+0, or for all when the rank falls short. Accepting a decomposition stays the
+max-abs residual against eq_tol in the original space: eq_tol bounds entries
+of P, and an orthonormal change of coordinates keeps Euclidean lengths but
+not the largest entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import lsq_linear, nnls
 
 from .conditions import _MODEL_CLASSES, classify
-from .convex import (
-    _decompositions,
-    _lifted,
-    _successive_projection,
-    _sweep,
-    has_unique_conic_decompositions,
-    has_unique_decompositions,
-    nonneg_lstsq,
-)
+from .convex import has_unique_conic_decompositions, has_unique_decompositions
 from .matrices import (
     DEFAULT_TOL,
     AdmixtureMatrix,
@@ -41,8 +60,6 @@ from .matrices import (
     FactorPair,
     FrequencyMatrix,
     Tolerance,
-    _scratch,
-    first_distinct_rows,
     max_abs,
     max_abs_distances,
 )
@@ -167,6 +184,261 @@ def _finalize(
                 f"recovered pair fails {flag} validation for regime {regime}"
             )
     return RecoveredFactorization(F, Q, regime, residual, warnings)
+
+
+def _scratch(buf, shape, order: str = "C") -> np.ndarray:
+    """An uninitialized array of shape, laid out in order: a view of the first cells
+    of the contiguous buf where it is given (it must hold as many), else a new one."""
+    if buf is None:
+        return np.empty(shape, order=order)
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape, order=order)
+
+
+def first_distinct_rows(
+    a, tol: Tolerance = DEFAULT_TOL, scaled: bool = False, scratch=None
+) -> list[int]:
+    """Indices of the rows of a kept by a greedy first-occurrence pass.
+
+    Row j = y is kept unless it lies within eq_tol (max-abs) of a row kept
+    before it; with scaled, unless s x does for a kept row x, where the
+    least-squares scale s = x.y / x.x must be positive (rows must then be
+    nonzero).
+    A match pins one coordinate of the two rows (of their unit-norm
+    directions when scaled) to within a known width, so after one sort each
+    row is compared, in a single array operation, only with the kept rows
+    before it inside that window. A row alone in its window is kept without
+    a comparison, so the loop runs only over the rows with a neighbour.
+    Memory stays linear in the size of a. With scaled, the unit directions
+    take an array of a's size: in scratch's first cells where it is given,
+    C-ordered, which is a's own layout in every caller.
+    """
+    a = np.asarray(a, dtype=float)
+    n, d = a.shape
+    if n == 0 or d == 0:
+        return list(range(min(n, 1)))
+    # a match moves any one coordinate by at most eq_tol, or any one of the
+    # unit directions by |u_x - u_y| <= 2 |s x - y| / |y| <= 2 sqrt(d) eq_tol / |y|;
+    # the windows are twice as wide, for rounding
+    if scaled:
+        # np.linalg.norm(a, axis=1): the squares, summed by row, in the keys' buffer
+        keys = np.square(a, out=None if scratch is None else _scratch(scratch, a.shape))
+        norms = np.sqrt(np.add.reduce(keys, axis=1))
+        keys = np.divide(a, norms[:, None], out=keys)
+        width = 4.0 * np.sqrt(d) * tol.eq_tol / norms + 1e-12
+    else:
+        keys = a
+        width = 2.0 * tol.eq_tol
+    key = keys[:, int(np.argmax(np.ptp(keys, axis=0)))]
+    order = np.argsort(key, kind="stable")
+    lo = np.searchsorted(key[order], key - width, side="left")
+    hi = np.searchsorted(key[order], key + width, side="right")
+    # a window always holds its own row; one that holds no other keeps it, but may
+    # lie inside a later row's wider (scaled) window, so a row sees only earlier ones
+    kept = hi - lo == 1
+    for j in np.flatnonzero(~kept):
+        near = order[lo[j]:hi[j]]
+        near = near[kept[near] & (near < j)]
+        if near.size:
+            x, positive = a[near], True
+            if scaled:
+                scale = (x @ a[j]) / np.einsum("ij,ij->i", x, x)
+                x, positive = scale[:, None] * x, scale > 0
+            if (positive & (np.abs(x - a[j]).max(axis=1) <= tol.eq_tol)).any():
+                continue
+        kept[j] = True
+    return np.flatnonzero(kept).tolist()
+
+
+def span_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) of a 2-D array, cut at roundoff rather than rank_tol.
+
+    Singular values up to max(m, n) * eps * s_max are dropped, so the column
+    coordinates s[:, None] * vt keep everything of a above roundoff.
+    """
+    arr = np.asarray(a, dtype=float)
+    u, s, vt = np.linalg.svd(arr, full_matrices=False)
+    r = int(np.sum(s > max(arr.shape) * np.finfo(float).eps * s.max(initial=0.0)))
+    return u[:, :r], s[:r], vt[:r]
+
+
+def nonneg_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nonnegative least squares solution of a @ x ~ b.
+
+    scipy.optimize.nnls (the fast path) can stop on a wrong active set, so
+    its x is certified by the KKT conditions: with g = a.T @ (a @ x - b),
+    |g_i| <= gtol where x_i > 0 and g_i >= -gtol where x_i = 0, for gtol =
+    1e-12 max|a| (max|a| sum(x) + max|b|). An x that fails them is redone by
+    the exact BVLS solver and the better of the two kept. nnls stopped by its
+    iteration cap counts as x = 0. With no columns the weights are empty
+    (nnls would abort the interpreter).
+    """
+    if a.shape[1] == 0:
+        return np.zeros(0)
+    try:
+        x, _ = nnls(a, b)
+    except RuntimeError:
+        x = np.zeros(a.shape[1])
+    g = a.T @ (a @ x - b)
+    scale = max_abs(a)
+    gtol = 1e-12 * scale * (scale * x.sum() + max_abs(b))
+    if np.all(np.where(x > 0, np.abs(g), -g) <= gtol):
+        return x
+    redo = lsq_linear(a, b, bounds=(0.0, np.inf), method="bvls")
+    if max_abs(a @ redo.x - b) < max_abs(a @ x - b):
+        x = np.maximum(redo.x, 0.0)
+    return x
+
+
+def _lifted(a: np.ndarray) -> np.ndarray:
+    """a with a row of ones appended: convex combinations of its columns become linear."""
+    return np.vstack([a, np.ones((1, a.shape[1]))])
+
+
+def _fit(coords, target_coords, points, cols, target, unit_sum):
+    """Nonnegative weights of target over the columns points[:, cols], and their misfit.
+
+    coords and target_coords are the generators and the target in orthonormal
+    coordinates of a subspace holding the generators; unit_sum adds the
+    convex row. The misfit is the original-space max-abs residual, built from
+    the columns with nonzero weight only, or with unit_sum the distance of
+    the weight sum from 1 where that is larger; eq_tol bounds both.
+    """
+    if unit_sum:
+        coords = _lifted(coords)
+        target_coords = np.append(target_coords, 1.0)
+    w = nonneg_lstsq(coords, target_coords)
+    nz = np.flatnonzero(w)
+    misfit = max_abs(points[:, cols[nz]] @ w[nz] - target)
+    if unit_sum:
+        misfit = max(misfit, abs(w.sum() - 1.0))
+    return w, misfit
+
+
+def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance, qr=None,
+                    out=None):
+    """(weights, misfits): column i the nonnegative weights of column i of targets,
+    misfits[i] their misfit as _fit has it, from one QR and one lstsq. The
+    caller passes the QR as qr when it has it. _fit redoes the targets the
+    module docstring names, up to the first past eq_tol, once for each target
+    that is not bit for bit an earlier one (whose coordinates are then too).
+    The |residual| of the weights, lifted with unit_sum, is formed in out where
+    it is given, an array of its shape. Where every misfit is within eq_tol,
+    the columns of the targets _fit redid are rewritten there; a later twin's
+    keeps its lstsq residual (a duplicate scan drops every twin but the
+    first)."""
+    basis, g_coords = np.linalg.qr(generators) if qr is None else qr
+    t_coords = basis.T @ targets
+    lift = _lifted if unit_sum else np.asarray
+    weights, _, rank, _ = np.linalg.lstsq(lift(g_coords), lift(t_coords), rcond=None)
+    # |lift(generators) @ weights - lift(targets)|, with no lifted copy of the targets
+    gens = lift(generators)
+    resid = _less_lifted(np.matmul(gens, weights, out=out), targets)
+    misfits = np.abs(resid, out=resid).max(axis=0, initial=0.0)
+    cols = np.arange(generators.shape[1])
+    redone: dict[bytes, list[int]] = {}  # coordinates -> the redone targets with them
+    fitted = []
+    for i in np.flatnonzero((weights < 0).any(axis=0) | (rank < cols.size)):
+        twins = redone.setdefault(t_coords[:, i].tobytes(), [])
+        k = next((k for k in twins if targets[:, k].tobytes() == targets[:, i].tobytes()), None)
+        if k is None:
+            weights[:, i], misfits[i] = _fit(g_coords, t_coords[:, i], generators, cols,
+                                             targets[:, i], unit_sum)
+            twins.append(i)
+            fitted.append(i)
+        else:
+            weights[:, i], misfits[i] = weights[:, k], misfits[k]
+        if misfits[i] > tol.eq_tol:
+            return weights, misfits  # every caller stops at the first such target
+    if fitted:
+        resid[:, fitted] = np.abs(_less_lifted(gens @ weights[:, fitted], targets[:, fitted]))
+    return weights, misfits
+
+
+def _less_lifted(resid: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """resid less the targets, in place, and less the row of ones that lifts them
+    where resid has a row more."""
+    m = targets.shape[0]
+    resid[:m] -= targets
+    resid[m:] -= 1.0
+    return resid
+
+
+def _sweep(points, kept: list[int], scan_order, tol: Tolerance, unit_sum) -> list[int]:
+    """Drops from kept each column of points that the other survivors generate.
+
+    The solves run in the column coordinates of the thin SVD of the kept
+    columns; unit_sum asks for convex rather than nonnegative combinations.
+    """
+    _, s, vt = span_svd(points[:, kept])
+    coords = np.zeros((s.size, points.shape[1]))
+    coords[:, kept] = s[:, None] * vt
+    alive = np.zeros(points.shape[1], dtype=bool)
+    alive[kept] = True
+    if scan_order is None:
+        order = kept
+    else:
+        kept_set = set(kept)
+        order = [i for i in scan_order if i in kept_set]
+    for j in order:
+        if not alive[j]:
+            continue
+        alive[j] = False
+        others = np.flatnonzero(alive)
+        if not others.size or _fit(
+            coords[:, others], coords[:, j], points, others, points[:, j], unit_sum
+        )[1] > tol.eq_tol:
+            alive[j] = True
+    return np.flatnonzero(alive).tolist()
+
+
+def _successive_projection(points, tol: Tolerance, conic: bool = False, scratch=None):
+    """SPA over the distinct columns: (reps, picks, rho).
+
+    reps are the first-occurrence indices of the sweep's duplicate scan
+    (scaled with conic), picks the sorted indices of the columns SPA takes
+    among them, and rho the largest residual norm it leaves. The columns are
+    lifted by a row of ones, or with conic (nonnegative, nonzero) scaled to
+    unit sum; each step takes the column of largest residual norm and
+    projects it out of all, until that norm is at most eq_tol (norms, not
+    squares, which overflow for a huge eq_tol). The first pick is always
+    taken, and never more picks than the rank of the candidates allows.
+
+    scratch, where it is given, is a contiguous array with room for the
+    lifted (with conic, the scaled) columns: it takes the scaled scan's keys,
+    then the residual. The projection is the one array of that size SPA
+    allocates, once the residual is filled.
+    """
+    p = np.asarray(points, dtype=float)
+    reps = np.asarray(first_distinct_rows(p.T, tol, scaled=conic, scratch=scratch))
+    if conic:
+        # P's rows, which recovery passes as columns, kept by rows (F order) as
+        # p[:, reps] keeps them there; the rounding of the sums and norms follows it
+        resid = _scratch(scratch, (p.shape[0], reps.size), "F")
+        np.take(p.T, reps, axis=0, out=resid.T, mode="clip")
+        resid /= resid.sum(axis=0)
+    elif p.flags.c_contiguous:
+        # the lifted columns in one copy ("clip" takes into out unbuffered), in C order
+        resid = _scratch(scratch, (p.shape[0] + 1, reps.size))
+        np.take(p, reps, axis=1, out=resid[:-1], mode="clip")
+        resid[-1] = 1.0
+    else:
+        resid = _lifted(p[:, reps])
+    # the projection, and first the squares that np.linalg.norm would take; einsum's
+    # outer product holds no buffer, and differs from np.multiply's only in the sign
+    # of a zero, which no sum, square or norm here sees
+    tmp = np.empty_like(resid)
+    norms = np.sqrt(np.add.reduce(np.square(resid, out=tmp), axis=0))
+    picks: list[int] = []
+    while len(picks) < min(resid.shape):
+        j = int(np.argmax(norms))
+        if picks and norms[j] <= tol.eq_tol:
+            break
+        u = resid[:, j] / norms[j]
+        resid -= np.einsum("i,j->ij", u, u @ resid, out=tmp)
+        picks.append(j)
+        np.sqrt(np.add.reduce(np.square(resid, out=tmp), axis=0, out=norms), out=norms)
+        norms[picks] = 0.0
+    return reps.tolist(), sorted(reps[picks].tolist()), float(norms.max())
 
 
 def _separation_bounds(r, coords, at, tol: Tolerance) -> np.ndarray:

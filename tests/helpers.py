@@ -8,8 +8,8 @@ combinations, rank-deficient row patterns) instead of rejection sampling.
 import numpy as np
 
 from admixid import AdmixtureMatrix, FactorPair, FrequencyMatrix
-from admixid.convex import _decompositions, _sweep, nonneg_lstsq
-from admixid.matrices import DEFAULT_TOL, first_distinct_rows, max_abs
+from admixid.matrices import DEFAULT_TOL, max_abs
+from admixid.recovery import _decompositions, _sweep, first_distinct_rows, nonneg_lstsq
 
 
 def dependent_f_values(rng, m, k):
@@ -87,13 +87,17 @@ def pair_from(f_vals, q_vals, tol=None):
 
 
 def successive_projection_oracle(points, tol, conic=False):
-    """convex._successive_projection with a new outer product and a new norm per pick."""
+    """recovery._successive_projection with a new outer product and a new norm per pick.
+
+    The lifted columns are laid out as the library lays them out, in C order where
+    the points are (p[:, reps] is F-ordered): the rounding of the sums follows it."""
     p = np.asarray(points, dtype=float)
     reps = np.asarray(first_distinct_rows(p.T, tol, scaled=conic))
     if conic:
         resid = p[:, reps] / p[:, reps].sum(axis=0)
     else:
         resid = np.vstack([p[:, reps], np.ones((1, len(reps)))])
+        resid = np.asarray(resid, order="C" if p.flags.c_contiguous else "F")
     norms = np.linalg.norm(resid, axis=0)
     picks = []
     while len(picks) < min(resid.shape):
@@ -109,7 +113,7 @@ def successive_projection_oracle(points, tol, conic=False):
 
 
 def decomposition_misfits_oracle(targets, generators, weights, unit_sum):
-    """convex._decompositions' misfits of weights as one expression: by column, the
+    """recovery._decompositions' misfits of weights as one expression: by column, the
     largest |lift(generators) @ weights - lift(targets)|, lift adding a row of ones
     with unit_sum."""
     if unit_sum:
@@ -142,7 +146,7 @@ def picks_stand_clear_oracle(points, reps, picks, tol):
 
 
 def decompose(target, generators, unit_sum, tol=DEFAULT_TOL):
-    """convex._decompositions on one target: its weights over the generator
+    """recovery._decompositions on one target: its weights over the generator
     columns (convex with unit_sum, else conic), or None past eq_tol."""
     target = np.asarray(target, dtype=float).reshape(-1, 1)
     weights, misfits = _decompositions(target, np.asarray(generators, dtype=float),
@@ -164,14 +168,14 @@ def decomposes_oracle(target, generators, tol, unit_sum):
 
 
 def minimal_columns(points, tol=DEFAULT_TOL, scan_order=None):
-    """The extreme points among the columns of points: convex._sweep over the
+    """The extreme points among the columns of points: recovery._sweep over the
     columns the duplicate scan keeps, as recovery's fallback runs it."""
     p = np.asarray(points, dtype=float)
     return _sweep(p, first_distinct_rows(p.T, tol), scan_order, tol, True)
 
 
 def minimal_rows(rays, tol=DEFAULT_TOL, scan_order=None):
-    """The extreme rays among the nonzero, nonnegative rows of rays: convex._sweep
+    """The extreme rays among the nonzero, nonnegative rows of rays: recovery._sweep
     over the rows the scaled duplicate scan keeps, as recovery's fallback runs it."""
     r = np.asarray(rays, dtype=float)
     return _sweep(r.T, first_distinct_rows(r, tol, scaled=True), scan_order, tol, False)

@@ -23,7 +23,7 @@ from admixid import (
     write_matrix,
 )
 from admixid.cli import main
-from admixid.convex import _successive_projection
+from admixid.recovery import _successive_projection
 
 from helpers import decomposes_oracle
 

@@ -1,7 +1,7 @@
 """Conic decompositions, conic uniqueness, ray scaling and minimal ray sets.
 
-Decompositions run through convex._decompositions without the unit sum, and
-minimal ray sets through convex._sweep over the scaled duplicate scan, the
+Decompositions run through recovery._decompositions without the unit sum, and
+minimal ray sets through recovery._sweep over the scaled duplicate scan, the
 engines recovery uses; generators are the rows of a matrix.
 """
 
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from admixid import has_unique_conic_decompositions
-from admixid.matrices import first_distinct_rows, max_abs
+from admixid.matrices import max_abs
+from admixid.recovery import first_distinct_rows
 
 from helpers import decompose, minimal_rows, rays_equal_up_to_scaling
 

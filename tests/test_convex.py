@@ -1,7 +1,7 @@
 """Convex decompositions, uniqueness, alternatives, and minimal column sets.
 
-Decompositions run through convex._decompositions with the unit sum, minimal
-column sets through convex._sweep over the duplicate scan, and alternatives
+Decompositions run through recovery._decompositions with the unit sum, minimal
+column sets through recovery._sweep over the duplicate scan, and alternatives
 through the null shift, the engines recovery and the counterexamples use.
 """
 
@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from admixid import convex, has_unique_decompositions
-from admixid.convex import nonneg_lstsq, null_shift_direction, shift_to_boundary
+from admixid import has_unique_decompositions, recovery
+from admixid.convex import null_shift_direction, shift_to_boundary
 from admixid.matrices import DEFAULT_TOL, max_abs
+from admixid.recovery import nonneg_lstsq
 
 from helpers import decompose, decomposes_oracle, decomposition_misfits_oracle, minimal_columns
 
@@ -58,7 +59,7 @@ def test_decompose_empty_generator_set():
 
 
 def test_nonneg_lstsq_redoes_an_answer_failing_kkt(monkeypatch):
-    monkeypatch.setattr(convex, "nnls", lambda a, b: (np.zeros(a.shape[1]), 1.0))
+    monkeypatch.setattr(recovery, "nnls", lambda a, b: (np.zeros(a.shape[1]), 1.0))
     x = nonneg_lstsq(np.eye(2), np.array([0.3, 0.7]))
     assert max_abs(x - [0.3, 0.7]) < 1e-12
 
@@ -67,7 +68,7 @@ def test_nonneg_lstsq_keeps_a_certified_answer_with_a_residual(monkeypatch):
     def no_bvls(*args, **kwargs):
         raise AssertionError("a KKT point needs no BVLS redo")
 
-    monkeypatch.setattr(convex, "lsq_linear", no_bvls)
+    monkeypatch.setattr(recovery, "lsq_linear", no_bvls)
     x = nonneg_lstsq(np.eye(2), np.array([-1.0, 0.5]))
     assert max_abs(x - [0.0, 0.5]) < 1e-12
 
@@ -258,7 +259,7 @@ def per_column(targets, generators, unit_sum):
     basis, g_coords = np.linalg.qr(generators)
     t_coords = basis.T @ targets
     cols = np.arange(generators.shape[1])
-    fits = [convex._fit(g_coords, t, generators, cols, target, unit_sum)
+    fits = [recovery._fit(g_coords, t, generators, cols, target, unit_sum)
             for t, target in zip(t_coords.T, targets.T)]
     weights = np.array([w for w, _ in fits]).reshape(targets.shape[1], generators.shape[1])
     return weights.T.copy(), np.array([misfit for _, misfit in fits])
@@ -285,8 +286,8 @@ def random_system(seed, d, k, unit_sum):
 
 
 def counted_fit(fits):
-    """convex._fit that appends the bytes of each target it is given to fits."""
-    fit = convex._fit
+    """recovery._fit that appends the bytes of each target it is given to fits."""
+    fit = recovery._fit
 
     def counted(coords, target_coords, points, cols, target, unit_sum):
         fits.append(target_coords.tobytes() + target.tobytes())
@@ -306,7 +307,7 @@ def test_batched_decompositions_match_one_fit_per_column(seed, d, data, unit_sum
     # the generators themselves, the first k targets, decompose
     assert (want_misfits[:k] <= eq_tol).all()
     order = np.random.default_rng(seed).permutation(targets.shape[1])
-    weights, misfits = convex._decompositions(targets[:, order], g, unit_sum, DEFAULT_TOL)
+    weights, misfits = recovery._decompositions(targets[:, order], g, unit_sum, DEFAULT_TOL)
     want_w, want_misfits = want_w[:, order], want_misfits[order]
     # the pass may stop after the first refused target: callers read no further
     refused = np.flatnonzero(want_misfits > eq_tol)
@@ -317,8 +318,8 @@ def test_batched_decompositions_match_one_fit_per_column(seed, d, data, unit_sum
     # each target twice in a row: a redone copy reuses the first copy's fit, so the
     # pairs are bit-identical and _fit never sees the same target twice
     fits = []
-    with mock.patch.object(convex, "_fit", counted_fit(fits)):
-        weights, misfits = convex._decompositions(targets[:, np.repeat(order, 2)], g,
+    with mock.patch.object(recovery, "_fit", counted_fit(fits)):
+        weights, misfits = recovery._decompositions(targets[:, np.repeat(order, 2)], g,
                                                   unit_sum, DEFAULT_TOL)
     pairs = 2 * (n - 1 if refused.size else n)
     assert weights[:, 0:pairs:2].tobytes() == weights[:, 1:pairs:2].tobytes()
@@ -341,7 +342,7 @@ def test_in_place_misfits_equal_the_one_expression(shape, unit_sum):
         w /= w.sum(axis=0)
     targets = g @ w + rng.uniform(-1e-3, 1e-3, size=(d, n))
     for out in (None, np.full((d + unit_sum, n), np.nan)):
-        weights, misfits = convex._decompositions(targets, g, unit_sum, DEFAULT_TOL, out=out)
+        weights, misfits = recovery._decompositions(targets, g, unit_sum, DEFAULT_TOL, out=out)
         assert (weights > 0).all()
         want = decomposition_misfits_oracle(targets, g, weights, unit_sum)
         assert misfits.tobytes() == want.tobytes()
@@ -355,17 +356,17 @@ def test_rank_deficient_generators_decompose_exactly_as_one_fit_per_column(monke
     g = cols([0.2, 0.8, 0.5], [0.2, 0.8, 0.5], [0.7, 0.3, 0.1])
     targets = np.column_stack([g @ [0.3, 0.3, 0.4], g[:, 2], [0.9, 0.9, 0.9]])
     fits = []
-    monkeypatch.setattr(convex, "_fit", counted_fit(fits))
+    monkeypatch.setattr(recovery, "_fit", counted_fit(fits))
     for unit_sum in (True, False):
         for order in ([0, 1, 2], [0, 1, 0, 0, 1, 2]):
             want_w, want_misfits = per_column(targets[:, order], g, unit_sum)
             fits.clear()
-            weights, misfits = convex._decompositions(targets[:, order], g, unit_sum,
+            weights, misfits = recovery._decompositions(targets[:, order], g, unit_sum,
                                                       DEFAULT_TOL)
             assert weights.tobytes() == want_w.tobytes()
             assert misfits.tobytes() == want_misfits.tobytes()
             assert len(fits) == 3
     # one target alone, as a single decomposition
     for unit_sum in (True, False):
-        w = convex._decompositions(targets[:, :1], g, unit_sum, DEFAULT_TOL)[0]
+        w = recovery._decompositions(targets[:, :1], g, unit_sum, DEFAULT_TOL)[0]
         assert w.tobytes() == per_column(targets[:, :1], g, unit_sum)[0].tobytes()

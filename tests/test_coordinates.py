@@ -2,7 +2,7 @@
 
 The oracles below and in helpers.py are the pairwise loops and full-space
 solves the library used before its sweeps moved to span coordinates; every
-property asserts that the library (convex._sweep, through
+property asserts that the library (recovery._sweep, through
 helpers.minimal_columns and helpers.minimal_rows, and the duplicate scan)
 returns the same indices. recover_anchor_Q and
 recover_anchor_F, which find their extreme columns and rays by successive
@@ -25,21 +25,19 @@ from admixid import (
     recover_anchor_F,
     recover_anchor_Q,
 )
-from admixid import convex, recovery
+from admixid import recovery
 from admixid.conditions import anchor_Q_columns
-from admixid.convex import (
-    _decompositions,
-    _successive_projection,
-    has_unique_conic_decompositions,
-    has_unique_decompositions,
-)
-from admixid.matrices import first_distinct_rows, span_svd
+from admixid.convex import has_unique_conic_decompositions, has_unique_decompositions
 from admixid.recovery import (
     DecompositionInfeasible,
     NonUniqueDecomposition,
     RecoveryError,
     ScalingInfeasible,
+    _decompositions,
     _finalize,
+    _successive_projection,
+    first_distinct_rows,
+    span_svd,
 )
 
 from helpers import (
@@ -252,12 +250,15 @@ def test_minimal_rows_match_full_space_oracle(seed, size, sigma, gap, copies):
 @settings(PROPERTY, max_examples=200)
 @given(seed=seeds, size=sizes, shape=st.sampled_from(["anchorF", "anchorQ", "unadmixed"]),
        conic=st.booleans(), sigma=st.sampled_from([0.0, 1e-9, 1e-6, 1e-4]), gap=gaps,
-       copies=st.integers(0, 4), eq_tol=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4]))
+       copies=st.integers(0, 4), eq_tol=st.sampled_from([1e-10, 1e-8, 1e-6, 1e-4]),
+       order=st.sampled_from("CF"))
 def test_successive_projection_matches_the_outer_product_form(
-    seed, size, shape, conic, sigma, gap, copies, eq_tol
+    seed, size, shape, conic, sigma, gap, copies, eq_tol, order
 ):
     # the in-place residual and norm updates give the same picks and rho, bit for bit;
-    # the candidates are P's columns, or with conic its rows, as recovery passes them
+    # the candidates are P's columns, or with conic its rows, as recovery passes them,
+    # laid out in C order (recovery's P, whose columns SPA takes into its residual) or
+    # in F order (which SPA lifts by a copy)
     k, m, n = size
     tol = Tolerance(eq_tol=eq_tol)
     rng = np.random.default_rng(seed)
@@ -265,6 +266,7 @@ def test_successive_projection_matches_the_outer_product_form(
     p = planted_duplicates(rng, p if conic else p.T, copies, gap * eq_tol, conic)
     p = np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, None)
     points = p[np.abs(p).max(axis=1) > eq_tol].T if conic else p.T
+    points = np.asarray(points, order=order)
     assert _successive_projection(points, tol, conic) == (
         successive_projection_oracle(points, tol, conic)
     )
@@ -354,7 +356,7 @@ def margins_match_the_oracle(pi, conic):
     margin it reads is the oracle's within rounding; the number of targets each
     certificate pass redid by NNLS."""
     passes, margins = [], []
-    real_pass, real_margins, real_fit = recovery._pass_over, recovery._margins, convex._fit
+    real_pass, real_margins, real_fit = recovery._pass_over, recovery._margins, recovery._fit
 
     def fit(*args):
         if passes and passes[-1][1] is None:  # inside a pass, not the sweep
@@ -380,7 +382,7 @@ def margins_match_the_oracle(pi, conic):
     recover = recover_anchor_F if conic else recover_anchor_Q
     with mock.patch.object(recovery, "_pass_over", pass_over), \
             mock.patch.object(recovery, "_margins", oracle), \
-            mock.patch.object(convex, "_fit", fit):
+            mock.patch.object(recovery, "_fit", fit):
         outcome = recovery_outcome(recover, pi)
     assert outcome == recovery_outcome(recover, pi)
     for got, want, bound, _ in margins:

@@ -25,7 +25,7 @@ from admixid import (
     recover_anchor_Q,
     recover_unadmixed,
 )
-from admixid import convex, recovery
+from admixid import recovery
 from admixid.matrices import Tolerance, max_abs
 
 from helpers import picks_stand_clear_oracle
@@ -144,7 +144,7 @@ def test_anchor_f_refusal_scans_for_duplicates_once(monkeypatch):
             return scan(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(convex, "first_distinct_rows", counted(convex.first_distinct_rows))
+    monkeypatch.setattr(recovery, "first_distinct_rows", counted(recovery.first_distinct_rows))
     pi = generate_instance("unadmixed", 4, 200, 150, 1).product()
     with pytest.raises(NonUniqueDecomposition):
         recover_anchor_F(pi)
@@ -281,8 +281,8 @@ def stand_clear_inputs(p, tol, conic):
         index = np.flatnonzero(np.abs(p).max(axis=1) > tol.eq_tol)
         points, over = p[index].T, p.T
     else:
-        index, points, over = np.arange(p.shape[1]), p, convex._lifted(p)
-    reps, picks, _ = convex._successive_projection(points, tol, conic)
+        index, points, over = np.arange(p.shape[1]), p, recovery._lifted(p)
+    reps, picks, _ = recovery._successive_projection(points, tol, conic)
     return over, index[reps], index[picks]
 
 
@@ -302,16 +302,18 @@ def first_gap(over, reps, picks):
     basis, _ = np.linalg.qr(over[:, picks])
     coords = basis.T @ over[:, reps]
     others = np.delete(coords, np.searchsorted(reps, picks[0]), axis=1)
-    return np.linalg.norm(others @ convex.nonneg_lstsq(others, coords[:, 0]) - coords[:, 0])
+    return np.linalg.norm(others @ recovery.nonneg_lstsq(others, coords[:, 0]) - coords[:, 0])
 
 
 def stands_clear(over, reps, picks, tol, monkeypatch=None):
     """_picks_stand_clear under RuntimeWarnings as errors, and its NNLS count."""
     calls = []
     if monkeypatch is not None:
+        real = recovery.nonneg_lstsq
+
         def counted(a, b):
             calls.append(b)
-            return convex.nonneg_lstsq(a, b)
+            return real(a, b)
         monkeypatch.setattr(recovery, "nonneg_lstsq", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
