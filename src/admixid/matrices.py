@@ -206,28 +206,41 @@ def multiply(
 def _product_blocks(pair: FactorPair, cells: int, tol: Tolerance = DEFAULT_TOL):
     """(start row, rows of F @ Q) for consecutive blocks of about cells entries,
     clipped into [0, 1] after multiply's check (and error text) on the range
-    of the whole product, which runs before this returns: a single block is
-    computed once, more blocks twice, one at a time. Block rows are a
+    of the whole product, which runs before this returns. Block rows are a
     multiple of 4, and a last block of one row joins the one before it, so
     no block is a vector product (a BLAS call of another kind) unless F is.
+    Every block is computed into one buffer: a block is a view that holds
+    until the next one is taken.
+
+    F and Q are clipped into [0, 1], so F Q >= 0 and (F Q)_ij <= (c Q)_j, c
+    the column maxima of F. A K-term sum of nonnegative terms, computed in
+    any order, lies within a factor 1 +- gamma_K of the exact sum (gamma_K =
+    K eps / (1 - K eps)). That bounds both sums, (F Q)_ij and (c Q)_j, so a
+    computed entry of F Q is at most (1 + gamma_K) / (1 - gamma_K) times the
+    computed (c Q)_j; that factor, with the rounding of the bound's own
+    product, stays under 1 + 4 K eps (gradual underflow adds at most 2^-1075
+    a term, far inside the margin). Where the bound is within 1 + eq_tol the
+    range check cannot fail, and its pass over the product is skipped.
     """
     f, q = pair.F.values, pair.Q.values
-    m = f.shape[0]
+    m, k = f.shape
     rows = max(4, cells // q.shape[1] // 4 * 4)
     bounds = [*range(0, m, rows), m]
     if len(bounds) > 2 and m - bounds[-2] == 1:
         del bounds[-2]
     spans = list(zip(bounds, bounds[1:]))
-    whole = f @ q if len(spans) == 1 else None
-    lo, hi = np.inf, -np.inf
-    for a, b in spans:
-        p = f[a:b] @ q if whole is None else whole
-        lo, hi = np.minimum(lo, p.min()), np.maximum(hi, p.max())  # NaN propagates
-    _check_unit_range(ExpectedFreqMatrix._what, lo, hi, tol.eq_tol)
+    buf = np.empty((max(b - a for a, b in spans), q.shape[1]))
+    bound = (f.max(axis=0) @ q).max() * (1 + 4 * k * np.finfo(float).eps)
+    if not bound <= 1.0 + tol.eq_tol:
+        lo, hi = np.inf, -np.inf
+        for a, b in spans:
+            p = np.matmul(f[a:b], q, out=buf[:b - a])
+            lo, hi = np.minimum(lo, p.min()), np.maximum(hi, p.max())  # NaN propagates
+        _check_unit_range(ExpectedFreqMatrix._what, lo, hi, tol.eq_tol)
 
     def blocks():
         for a, b in spans:
-            p = f[a:b] @ q if whole is None else whole
+            p = np.matmul(f[a:b], q, out=buf[:b - a])
             yield a, np.clip(p, 0.0, 1.0, out=p)
 
     return blocks()

@@ -416,13 +416,12 @@ def _successive_projection(points, tol: Tolerance, conic: bool = False, scratch=
         resid = _scratch(scratch, (p.shape[0], reps.size), "F")
         np.take(p.T, reps, axis=0, out=resid.T, mode="clip")
         resid /= resid.sum(axis=0)
-    elif p.flags.c_contiguous:
+    else:
         # the lifted columns in one copy ("clip" takes into out unbuffered), in C order
+        # whatever the layout of the points, so the rounding does not follow it
         resid = _scratch(scratch, (p.shape[0] + 1, reps.size))
         np.take(p, reps, axis=1, out=resid[:-1], mode="clip")
         resid[-1] = 1.0
-    else:
-        resid = _lifted(p[:, reps])
     # the projection, and first the squares that np.linalg.norm would take; einsum's
     # outer product holds no buffer, and differs from np.multiply's only in the sign
     # of a zero, which no sum, square or norm here sees

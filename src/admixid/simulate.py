@@ -17,13 +17,14 @@ one array pass.
 One engine, _genotype_blocks, draws every genotype: it takes P as a stream
 of (start row, rows) blocks and yields each block's int8 counts in turn.
 simulate_genotypes hands it the whole of an ExpectedFreqMatrix as one
-block; the simulate command hands it the blocks F[a:b] @ Q, computed one at
-a time, and writes each block's text before the next, so its memory does not
-grow with the number of loci. Each block is its own BLAS product, and
-OpenBLAS picks its kernel by the matrix size, so a block's rows can round
-apart from those of the whole F @ Q in the last bit: the command's draw is
-not bit-identical to simulate_genotypes(pair.product()) in general. A
-genotype moves only where a draw equals that entry to the last bit.
+block; the simulate command hands it the blocks F[a:b] @ Q, each computed
+once into one buffer, and writes each block's text before the next, so its
+memory does not grow with the number of loci. Each block is its own BLAS
+product, and OpenBLAS picks its kernel by the matrix size, so a block's rows
+can round apart from those of the whole F @ Q in the last bit: the
+command's draw is not bit-identical to simulate_genotypes(pair.product()) in
+general. A genotype moves only where a draw equals that entry to the last
+bit.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ class EntryOutOfRange(ValueError):
 
 _GENERATION_ATTEMPTS = 100
 
-# uniforms per block of simulated rows (32 KiB of doubles): a block's arrays
+# uniforms per block of simulated rows (120 KiB of doubles): a block's arrays
 # stay under glibc's 128 KiB mmap threshold, so peak memory does not grow
-_BLOCK_WORDS = 4096
+_BLOCK_WORDS = 15360
 
 
 @dataclass(frozen=True, eq=False)

@@ -89,15 +89,15 @@ def pair_from(f_vals, q_vals, tol=None):
 def successive_projection_oracle(points, tol, conic=False):
     """recovery._successive_projection with a new outer product and a new norm per pick.
 
-    The lifted columns are laid out as the library lays them out, in C order where
-    the points are (p[:, reps] is F-ordered): the rounding of the sums follows it."""
+    The lifted columns are laid out as the library lays them out, in C order whatever
+    the layout of the points (p[:, reps] is F-ordered): the rounding of the sums follows
+    it."""
     p = np.asarray(points, dtype=float)
     reps = np.asarray(first_distinct_rows(p.T, tol, scaled=conic))
     if conic:
         resid = p[:, reps] / p[:, reps].sum(axis=0)
     else:
-        resid = np.vstack([p[:, reps], np.ones((1, len(reps)))])
-        resid = np.asarray(resid, order="C" if p.flags.c_contiguous else "F")
+        resid = np.asarray(np.vstack([p[:, reps], np.ones((1, len(reps)))]), order="C")
     norms = np.linalg.norm(resid, axis=0)
     picks = []
     while len(picks) < min(resid.shape):

@@ -257,8 +257,8 @@ def test_successive_projection_matches_the_outer_product_form(
 ):
     # the in-place residual and norm updates give the same picks and rho, bit for bit;
     # the candidates are P's columns, or with conic its rows, as recovery passes them,
-    # laid out in C order (recovery's P, whose columns SPA takes into its residual) or
-    # in F order (which SPA lifts by a copy)
+    # laid out in C order (recovery's P) or in F order: SPA takes either into its
+    # residual, laid out one way, so the two layouts give the same bits
     k, m, n = size
     tol = Tolerance(eq_tol=eq_tol)
     rng = np.random.default_rng(seed)
@@ -267,9 +267,10 @@ def test_successive_projection_matches_the_outer_product_form(
     p = np.clip(p + sigma * rng.standard_normal(p.shape), 0.0, None)
     points = p[np.abs(p).max(axis=1) > eq_tol].T if conic else p.T
     points = np.asarray(points, order=order)
-    assert _successive_projection(points, tol, conic) == (
-        successive_projection_oracle(points, tol, conic)
-    )
+    got = _successive_projection(points, tol, conic)
+    assert got == successive_projection_oracle(points, tol, conic)
+    other = np.asarray(points, order="F" if order == "C" else "C")
+    assert _successive_projection(other, tol, conic) == got
 
 
 def recovery_outcome(recover, pi):

@@ -2,9 +2,12 @@
 
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admixid import (
     AdmixtureMatrix,
@@ -21,6 +24,7 @@ from admixid import (
     simulate_genotypes,
     write_matrix,
 )
+from admixid import matrices
 from admixid.cli import main
 from admixid.matrices import _product_blocks
 from admixid.simulate import _BLOCK_WORDS
@@ -77,24 +81,28 @@ def _edge_probabilities(seed, m, n):
     return np.clip(p, 0.0, 1.0)
 
 
-def _rows_per_block(n):
-    return max(1, _BLOCK_WORDS // (2 * n))
+def _rows_per_block(n, words):
+    return max(1, words // (2 * n))
 
 
-_SHAPES = [
-    (1, 1),
-    (1, 7),
-    (_rows_per_block(1) - 1, 1),
-    (_rows_per_block(1), 1),
-    (_rows_per_block(1) + 1, 1),
-    (_rows_per_block(7) - 1, 7),
-    (_rows_per_block(7), 7),
-    (_rows_per_block(7) + 1, 7),
-    (3 * _rows_per_block(7) + 5, 7),
-    # a block of a single row: exactly full, and a row longer than a block
-    (3, _BLOCK_WORDS // 2),
-    (3, _BLOCK_WORDS // 2 + 1),
-]
+def _block_edges(words):
+    return [
+        (_rows_per_block(1, words) - 1, 1),
+        (_rows_per_block(1, words), 1),
+        (_rows_per_block(1, words) + 1, 1),
+        (_rows_per_block(7, words) - 1, 7),
+        (_rows_per_block(7, words), 7),
+        (_rows_per_block(7, words) + 1, 7),
+        (3 * _rows_per_block(7, words) + 5, 7),
+        # a block of a single row: exactly full, and a row longer than a block
+        (3, words // 2),
+        (3, words // 2 + 1),
+    ]
+
+
+# the edges of today's blocks, and those of the earlier 4096-double blocks, which
+# now fall inside a block or across its edge at other rows
+_SHAPES = [(1, 1), (1, 7), *_block_edges(4096), *_block_edges(_BLOCK_WORDS)]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
@@ -238,8 +246,14 @@ def _random_pair(k, m, n, seed=0, tol=None):
     (4, 2000, 400, 2**17), (1, 23, 1, 8),
 ])
 def test_product_blocks_cover_the_rows_of_the_product(k, m, n, cells):
+    # every block is a view of one buffer, valid until the next block is taken:
+    # each is copied as it is taken, and consecutive blocks share memory
     pair = _random_pair(k, m, n)
-    blocks = list(_product_blocks(pair, cells))
+    blocks, last = [], None
+    for a, p in _product_blocks(pair, cells):
+        assert last is None or np.shares_memory(p, last)
+        blocks.append((a, p.copy()))
+        last = p
     starts = [a for a, _ in blocks]
     sizes = [p.shape[0] for _, p in blocks]
     assert starts == list(np.cumsum([0, *sizes[:-1]])) and sum(sizes) == m
@@ -267,6 +281,52 @@ def test_product_blocks_raise_multiplys_error_before_any_block(cells, row):
         _product_blocks(pair, cells, tight)
     assert "found range [0.1, 1.4]" in str(whole.value)
     assert str(streamed.value) == str(whole.value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 40), m=st.integers(1, 30),
+       n=st.integers(1, 12), cells=st.integers(1, 64), peaks=st.sampled_from([0.0, 0.5, 1.0]),
+       fixed=st.booleans(), anchors=st.integers(0, 12),
+       shift=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]),
+       eq_tol=st.sampled_from([0.1, 1e-4, 1e-8, 1e-15, 1e-300]))
+def test_product_blocks_skip_only_a_range_check_that_cannot_fail(
+    seed, k, m, n, cells, peaks, fixed, anchors, shift, eq_tol
+):
+    # some columns of F peak at exactly 1.0 (with fixed, all of them in one row), some
+    # columns of Q are anchors, and Q's column sums sit at 1 + shift * eq_tol, under a
+    # tolerance wide enough to take them: within eq_tol of 1, or past it (1.5)
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(size=(m, k))
+    top = np.flatnonzero(rng.random(k) < peaks)
+    f[rng.integers(0, m, size=top.size), top] = 1.0
+    if fixed:
+        f[rng.integers(0, m)] = 1.0
+    q = rng.uniform(size=(k, n))
+    anchored = min(anchors, n)
+    q[:, :anchored] = np.eye(k)[:, np.arange(anchored) % k]
+    q = q / q.sum(axis=0) * (1.0 + shift * eq_tol)
+    wide = Tolerance(eq_tol=max(2 * eq_tol, 1e-12))
+    pair = FactorPair(FrequencyMatrix(f, wide), AdmixtureMatrix(q, wide))
+    fv, qv = pair.F.values, pair.Q.values
+    tol = Tolerance(eq_tol=eq_tol)
+    skips = (fv.max(axis=0) @ qv).max() * (1 + 4 * k * np.finfo(float).eps) <= 1.0 + eq_tol
+    # the blocks' rows, from a tolerance at which no range check can fail
+    starts = [a for a, _ in _product_blocks(pair, cells, Tolerance(eq_tol=1.0))]
+    exact = [fv[a:b] @ qv for a, b in zip(starts, [*starts[1:], m])]
+    fits = max(p.max() for p in exact) <= 1.0 + eq_tol
+    if skips:
+        multiply(pair.F, pair.Q, tol)
+        assert fits
+    with mock.patch.object(matrices, "_check_unit_range", wraps=matrices._check_unit_range) as spy:
+        if fits:
+            got = [(a, p.copy()) for a, p in _product_blocks(pair, cells, tol)]
+            assert [a for a, _ in got] == starts
+            assert all(np.array_equal(p, np.clip(e, 0.0, 1.0)) for (_, p), e in zip(got, exact))
+        else:
+            with pytest.raises(ValueError, match="entries must lie in"):
+                _product_blocks(pair, cells, tol)
+    # the exact pass over the product runs only where the bound exceeds 1 + eq_tol
+    assert spy.call_count == (0 if skips else 1)
 
 
 def _simulate_peak(tmp_path, m):
