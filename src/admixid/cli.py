@@ -13,8 +13,6 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-import numpy as np
-
 from . import counterexamples as cx
 from .conditions import classify
 from .equivalence import are_equivalent
@@ -25,7 +23,6 @@ from .matrices import (
     FactorPair,
     FrequencyMatrix,
     Tolerance,
-    _product_blocks,
 )
 from .matrixio import ParseError, ShapeError, read_matrix, write_matrix
 from .recovery import (
@@ -34,7 +31,7 @@ from .recovery import (
     recover_anchor_Q,
     recover_unadmixed,
 )
-from .simulate import DimensionBound, GenerationFailed, _genotype_blocks, generate_instance
+from .simulate import DimensionBound, GenerationFailed, generate_instance, genotype_csv
 
 EXIT_OK = 0
 EXIT_NOT_EQUIVALENT = 1
@@ -46,10 +43,6 @@ EXIT_PRECONDITION = 5
 _PARSE_ERRORS = (ParseError, ShapeError, OSError)
 _DIMENSION_ERRORS = (DimensionMismatch, DimensionBound)
 _PRECONDITION_ERRORS = (cx.PreconditionViolated, GenerationFailed)
-
-# entries of P per block of simulate's stream (1 MiB of doubles): its memory
-# stays a few blocks, whatever the number of loci
-_SIMULATE_BLOCK_CELLS = 2**17
 
 # each regime's recover function, in the order --regime auto tries them; tuples,
 # as in _CONSTRUCTIONS, are where perfbench's tracer finds functions to wrap
@@ -221,23 +214,13 @@ def _cmd_counterexample(args, tol: Tolerance) -> int:
     return EXIT_OK
 
 
-def _genotype_text(g: np.ndarray) -> np.ndarray:
-    """CSV bytes of one-digit genotypes, each row ending in a newline."""
-    text = np.full((g.shape[0], 2 * g.shape[1]), ord(","), dtype=np.uint8)
-    np.add(g, ord("0"), out=text[:, 0::2], casting="unsafe")
-    text[:, -1] = ord("\n")
-    return text
-
-
 def _cmd_simulate(args, tol: Tolerance) -> int:
     pair = _load_pair(args.f, args.q, tol)
     # every check (F, Q, the product's range, the seed) runs before output opens
-    blocks = _product_blocks(pair, _SIMULATE_BLOCK_CELLS, tol)
-    genotypes = _genotype_blocks(blocks, args.seed, pair.n_individuals)
+    text = genotype_csv(pair, args.seed, tol)
     sys.stdout.flush()  # text already printed goes before these bytes
     with open(args.output, "wb") if args.output else nullcontext(sys.stdout.buffer) as fh:
-        for g in genotypes:
-            fh.write(_genotype_text(g))
+        fh.writelines(text)
         fh.flush()
     return EXIT_OK
 

@@ -69,18 +69,6 @@ def max_abs_distances(a, b) -> np.ndarray:
     return cdist(np.asarray(a, dtype=float), np.asarray(b, dtype=float), "chebyshev")
 
 
-def _check_unit_range(what: str, lo, hi, slack: float) -> None:
-    """Raise unless the range [lo, hi] of the entries of what is finite and
-    within slack of [0, 1]; a NaN or an infinity always shows in lo or hi."""
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError(f"{what} has non-finite entries")
-    if lo < -slack or hi > 1.0 + slack:
-        raise ValueError(
-            f"{what} entries must lie in [0, 1] (within {slack:g}); "
-            f"found range [{lo:g}, {hi:g}]"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class _UnitBoxMatrix:
     """A copy of values, checked 2-D, nonempty, finite and in [0, 1] within
@@ -96,7 +84,14 @@ class _UnitBoxMatrix:
             raise DimensionMismatch(f"{what} must be 2-D, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionMismatch(f"{what} must have at least one row and column")
-        _check_unit_range(what, arr.min(), arr.max(), (tol or DEFAULT_TOL).eq_tol)
+        lo, hi, slack = arr.min(), arr.max(), (tol or DEFAULT_TOL).eq_tol
+        if not (np.isfinite(lo) and np.isfinite(hi)):  # any NaN or infinity shows here
+            raise ValueError(f"{what} has non-finite entries")
+        if lo < -slack or hi > 1.0 + slack:
+            raise ValueError(
+                f"{what} entries must lie in [0, 1] (within {slack:g}); "
+                f"found range [{lo:g}, {hi:g}]"
+            )
         np.clip(arr, 0.0, 1.0, out=arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -201,49 +196,6 @@ def multiply(
             f"Q is {Q.n_pops}x{Q.n_individuals}"
         )
     return ExpectedFreqMatrix(F.values @ Q.values, tol)
-
-
-def _product_blocks(pair: FactorPair, cells: int, tol: Tolerance = DEFAULT_TOL):
-    """(start row, rows of F @ Q) for consecutive blocks of about cells entries,
-    clipped into [0, 1] after multiply's check (and error text) on the range
-    of the whole product, which runs before this returns. Block rows are a
-    multiple of 4, and a last block of one row joins the one before it, so
-    no block is a vector product (a BLAS call of another kind) unless F is.
-    Every block is computed into one buffer: a block is a view that holds
-    until the next one is taken.
-
-    F and Q are clipped into [0, 1], so F Q >= 0 and (F Q)_ij <= (c Q)_j, c
-    the column maxima of F. A K-term sum of nonnegative terms, computed in
-    any order, lies within a factor 1 +- gamma_K of the exact sum (gamma_K =
-    K eps / (1 - K eps)). That bounds both sums, (F Q)_ij and (c Q)_j, so a
-    computed entry of F Q is at most (1 + gamma_K) / (1 - gamma_K) times the
-    computed (c Q)_j; that factor, with the rounding of the bound's own
-    product, stays under 1 + 4 K eps (gradual underflow adds at most 2^-1075
-    a term, far inside the margin). Where the bound is within 1 + eq_tol the
-    range check cannot fail, and its pass over the product is skipped.
-    """
-    f, q = pair.F.values, pair.Q.values
-    m, k = f.shape
-    rows = max(4, cells // q.shape[1] // 4 * 4)
-    bounds = [*range(0, m, rows), m]
-    if len(bounds) > 2 and m - bounds[-2] == 1:
-        del bounds[-2]
-    spans = list(zip(bounds, bounds[1:]))
-    buf = np.empty((max(b - a for a, b in spans), q.shape[1]))
-    bound = (f.max(axis=0) @ q).max() * (1 + 4 * k * np.finfo(float).eps)
-    if not bound <= 1.0 + tol.eq_tol:
-        lo, hi = np.inf, -np.inf
-        for a, b in spans:
-            p = np.matmul(f[a:b], q, out=buf[:b - a])
-            lo, hi = np.minimum(lo, p.min()), np.maximum(hi, p.max())  # NaN propagates
-        _check_unit_range(ExpectedFreqMatrix._what, lo, hi, tol.eq_tol)
-
-    def blocks():
-        for a, b in spans:
-            p = np.matmul(f[a:b], q, out=buf[:b - a])
-            yield a, np.clip(p, 0.0, 1.0, out=p)
-
-    return blocks()
 
 
 def numeric_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -17,14 +17,14 @@ one array pass.
 One engine, _genotype_blocks, draws every genotype: it takes P as a stream
 of (start row, rows) blocks and yields each block's int8 counts in turn.
 simulate_genotypes hands it the whole of an ExpectedFreqMatrix as one
-block; the simulate command hands it the blocks F[a:b] @ Q, each computed
-once into one buffer, and writes each block's text before the next, so its
-memory does not grow with the number of loci. Each block is its own BLAS
-product, and OpenBLAS picks its kernel by the matrix size, so a block's rows
-can round apart from those of the whole F @ Q in the last bit: the
-command's draw is not bit-identical to simulate_genotypes(pair.product()) in
-general. A genotype moves only where a draw equals that entry to the last
-bit.
+block. genotype_csv, the simulate command's stream, hands it the blocks
+F[a:b] @ Q of _product_blocks, each computed once into one buffer, and
+yields each block's CSV text before the next is computed, so its memory
+does not grow with the number of loci. Each block is its own BLAS product,
+and OpenBLAS picks its kernel by the matrix size, so a block's rows can
+round apart from those of the whole F @ Q in the last bit: the command's
+draw is not bit-identical to simulate_genotypes(pair.product()) in general.
+A genotype moves only where a draw equals that entry to the last bit.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "EntryOutOfRange",
     "GenotypeMatrix",
     "simulate_genotypes",
+    "genotype_csv",
     "generate_instance",
     "MODEL_CLASS_ALIASES",
 ]
@@ -72,6 +73,10 @@ _GENERATION_ATTEMPTS = 100
 # uniforms per block of simulated rows (120 KiB of doubles): a block's arrays
 # stay under glibc's 128 KiB mmap threshold, so peak memory does not grow
 _BLOCK_WORDS = 15360
+
+# entries of P per block of genotype_csv's stream (1 MiB of doubles): its
+# memory stays a few blocks, whatever the number of loci
+_PRODUCT_BLOCK_CELLS = 2**17
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,13 +151,72 @@ def _genotype_blocks(blocks, seed: int, n: int):
     return (genotypes(start, p) for start, p in blocks)
 
 
+def _product_blocks(pair: FactorPair, cells: int, tol: Tolerance = DEFAULT_TOL):
+    """(start row, rows of F @ Q) for consecutive blocks of about cells entries,
+    clipped into [0, 1] after multiply's check (and error text) on the range
+    of the whole product, which runs before this returns. Block rows are a
+    multiple of 4, and a last block of one row joins the one before it, so
+    no block is a vector product (a BLAS call of another kind) unless F is.
+    Every block is computed into one buffer: a block is a view that holds
+    until the next one is taken.
+
+    F and Q are clipped into [0, 1], so F Q >= 0 and (F Q)_ij <= (c Q)_j, c
+    the column maxima of F. A K-term sum of nonnegative terms, computed in
+    any order, lies within a factor 1 +- gamma_K of the exact sum (gamma_K =
+    K eps / (1 - K eps)). That bounds both sums, (F Q)_ij and (c Q)_j, so a
+    computed entry of F Q is at most (1 + gamma_K) / (1 - gamma_K) times the
+    computed (c Q)_j; that factor, with the rounding of the bound's own
+    product, stays under 1 + 4 K eps (gradual underflow adds at most 2^-1075
+    a term, far inside the margin). Where the bound is within 1 + eq_tol the
+    range check cannot fail, and its pass over the product is skipped.
+    """
+    f, q = pair.F.values, pair.Q.values
+    m, k = f.shape
+    rows = max(4, cells // q.shape[1] // 4 * 4)
+    bounds = [*range(0, m, rows), m]
+    if len(bounds) > 2 and m - bounds[-2] == 1:
+        del bounds[-2]
+    spans = list(zip(bounds, bounds[1:]))
+    buf = np.empty((max(b - a for a, b in spans), q.shape[1]))
+    bound = (f.max(axis=0) @ q).max() * (1 + 4 * k * np.finfo(float).eps)
+    if not bound <= 1.0 + tol.eq_tol:
+        lo, hi = np.inf, -np.inf
+        for a, b in spans:
+            p = np.matmul(f[a:b], q, out=buf[:b - a])
+            lo, hi = np.minimum(lo, p.min()), np.maximum(hi, p.max())  # NaN propagates
+        ExpectedFreqMatrix([[lo, hi]], tol)  # multiply's check, on the range alone
+
+    def blocks():
+        for a, b in spans:
+            p = np.matmul(f[a:b], q, out=buf[:b - a])
+            yield a, np.clip(p, 0.0, 1.0, out=p)
+
+    return blocks()
+
+
+def _genotype_text(g: np.ndarray) -> np.ndarray:
+    """CSV bytes of one-digit genotypes, each row ending in a newline."""
+    text = np.full((g.shape[0], 2 * g.shape[1]), ord(","), dtype=np.uint8)
+    np.add(g, ord("0"), out=text[:, 0::2], casting="unsafe")
+    text[:, -1] = ord("\n")
+    return text
+
+
+def genotype_csv(pair: FactorPair, seed: int, tol: Tolerance = DEFAULT_TOL):
+    """The simulate command's output, a draw from F @ Q as genotype CSV: one
+    uint8 text array per block of P, in row order. The product's range and the
+    seed are checked before this returns; each block is computed, drawn and
+    made text only when it is taken."""
+    blocks = _product_blocks(pair, _PRODUCT_BLOCK_CELLS, tol)
+    return map(_genotype_text, _genotype_blocks(blocks, seed, pair.n_individuals))
+
+
 def simulate_genotypes(pi: ExpectedFreqMatrix, seed: int) -> GenotypeMatrix:
     """Draw a genotype matrix from the two-Bernoulli model at each cell.
 
-    The stream layout documented in the module docstring is part of the
-    contract: per-row Philox keyed with the two words (seed, row index), 2N
-    doubles per row, consecutive pairs per entry. Seeds are integers in
-    [0, 2**64). The whole of pi is one block of _genotype_blocks, and
+    The stream of the module docstring (per-row Philox keyed (seed, row), 2N
+    doubles a row, a pair an entry) is part of the contract. Seeds are integers
+    in [0, 2**64). The whole of pi is one block of _genotype_blocks, and
     GenotypeMatrix makes the one int64 copy of its int8 counts.
     """
     (g,) = _genotype_blocks([(0, pi.values)], seed, pi.values.shape[1])

@@ -349,6 +349,42 @@ def test_counterexample_within_eq_tol_of_a_relabelling_exits_5(capsys, tmp_path)
     assert not (tmp_path / "cx").exists()
 
 
+_F_ONE = [[0.3], [0.6], [0.9]]
+_F_MEAN = [[0.2, 0.6, 0.4], [0.8, 0.4, 0.6], [0.5, 0.9, 0.7]]  # column 2 is the mean
+_Q_FREE = [[0.5, 0.2, 0.3, 0.4], [0.3, 0.5, 0.3, 0.3], [0.2, 0.3, 0.4, 0.3]]
+_Q_EQUAL = [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]  # two equal rows
+_F_FREE = [[0.3, 0.6], [0.5, 0.2], [0.7, 0.4]]
+
+
+# (construction, F, Q or the --n count, --tol, the refusal): each input fails a
+# precondition that no other test reaches
+@pytest.mark.parametrize("construction,f,q,tol,message", [
+    ("rotate_R_Q", _F_ONE, [[1, 1]], 1e-8, "at least two populations are required"),
+    ("rotate_R_F", _F_ONE, [[1, 1]], 1e-8, "at least two populations are required"),
+    ("unadmixed_dup_column", _F_ONE, 3, 1e-8, "at least two populations are required"),
+    ("rotate_R_Q", _F_MEAN, _Q_FREE, 1e-8, "F columns must admit unique decompositions"),
+    ("perturb_interior_Q_column", _F_MEAN, _Q_FREE, 1e-8,
+     "Q is missing an anchor column for some population"),
+    ("rotate_R_F", _F_FREE, _Q_EQUAL, 1e-8, "Q rows must be linearly independent"),
+    ("perturb_F_row", _F_FREE, _Q_EQUAL, 1e-8, "F lacks an anchor row for some population"),
+    ("perturb_F_row", [[0.5, 0.0], [0.0, 0.7]], _Q_EQUAL, 1e-8, "F needs at least K+1 rows"),
+    ("unadmixed_missing_anchor", [[0.3, 0.3], [0.6, 0.6]], [[1, 0, 1], [0, 1, 0]], 1e-8,
+     "F columns must be pairwise distinct"),
+    # every candidate column (flips, nudges and shifts) is within 0.3 of 0.25 or 0.75
+    ("unadmixed_missing_anchor", [[0.25, 0.75]] * 3, [[1, 1, 1], [0, 0, 0]], 0.3,
+     "every replacement tried for column 1 lies within eq_tol of an F column"),
+])
+def test_counterexample_refusals_exit_5_with_their_text(
+    capsys, tmp_path, construction, f, q, tol, message
+):
+    second = (["--n", str(q)] if isinstance(q, int)
+              else ["--q", write_csv(tmp_path / "Q.csv", q)])
+    argv = ["--tol", str(tol), "counterexample", "--construction", construction,
+            "--f", write_csv(tmp_path / "F.csv", f), *second, "--out-dir", str(tmp_path / "cx")]
+    assert run(capsys, argv) == (5, "", f"error: PreconditionViolated: {message}\n")
+    assert not (tmp_path / "cx").exists()
+
+
 RECOVER_HELP = """\
 usage: admixid recover [-h] --pi PATH
                        [--regime {anchorQ,anchorF,unadmixed,auto}]
@@ -452,10 +488,10 @@ _STREAM_CASES = [
 
 @pytest.mark.parametrize("k,m,n,cells", _STREAM_CASES)
 def test_simulate_stream_matches_the_library_draw(capsys, tmp_path, monkeypatch, k, m, n, cells):
-    from admixid import cli
+    from admixid import simulate
 
     if cells is not None:
-        monkeypatch.setattr(cli, "_SIMULATE_BLOCK_CELLS", cells)
+        monkeypatch.setattr(simulate, "_PRODUCT_BLOCK_CELLS", cells)
     pair, f, q = _simulate_pair(tmp_path, k, m, n)
     want = _genotype_join(pair, 11)
     out = tmp_path / "G.csv"
@@ -478,9 +514,9 @@ _SIMULATE_ERRORS = [
 
 @pytest.mark.parametrize("extra,q_name,code,line", _SIMULATE_ERRORS)
 def test_simulate_errors_write_nothing(capsys, tmp_path, monkeypatch, extra, q_name, code, line):
-    from admixid import cli
+    from admixid import simulate
 
-    monkeypatch.setattr(cli, "_SIMULATE_BLOCK_CELLS", 8)  # F's 9 rows span blocks
+    monkeypatch.setattr(simulate, "_PRODUCT_BLOCK_CELLS", 8)  # F's 9 rows span blocks
     f = write_csv(tmp_path / "F.csv", [[0.5, 0.5]] * 9)
     write_csv(tmp_path / "Q.csv", np.eye(2))
     write_csv(tmp_path / "Q3.csv", np.eye(3)[:, :2])

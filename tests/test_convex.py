@@ -114,6 +114,11 @@ def test_unique_duplicate_columns():
     assert not has_unique_decompositions(cols([0.3, 0.7], [0.3, 0.7]))
 
 
+def test_unique_requires_a_2d_generator_array():
+    with pytest.raises(ValueError, match="2-D array with one column per generator"):
+        has_unique_decompositions([0.2, 0.8])
+
+
 def test_alternative_square_center():
     g = cols([0, 0], [1, 1], [1, 0], [0, 1])
     known = np.full(4, 0.25)

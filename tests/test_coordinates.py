@@ -207,6 +207,12 @@ def test_first_distinct_rows_keeps_chains_greedy():
     assert first_distinct_rows(a, TOL) == [0, 2] == oracle_distinct(a, TOL)
 
 
+@pytest.mark.parametrize("shape,kept", [((0, 3), []), ((0, 0), []), ((4, 0), [0])])
+def test_first_distinct_rows_of_an_empty_array(shape, kept):
+    # rows of no entries are all equal, so the first one stands for them
+    assert first_distinct_rows(np.empty(shape), TOL) == kept
+
+
 def test_scaled_first_distinct_rows_rejects_negative_multiples():
     # rows 0 and 1 share the sort key (their first entry), so only the
     # sign of the scale keeps them apart

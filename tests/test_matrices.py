@@ -172,6 +172,19 @@ def test_numeric_rank_examples():
     assert numeric_rank([[1, 1], [1, 1]]) == 1
     assert numeric_rank([[0.3, 0.3], [0.7, 0.7]]) == 1
     assert numeric_rank(np.zeros((3, 2))) == 0
+    assert numeric_rank(np.empty((0, 3))) == 0
+
+
+def test_norm_and_rank_guards():
+    assert max_abs(np.empty((0, 3))) == 0.0
+    for fn in (numeric_rank, null_space_vector):
+        with pytest.raises(DimensionMismatch, match="expects a 2-D array"):
+            fn([0.5, 0.5])
+
+
+def test_expected_freq_matrix_shape():
+    pi = ExpectedFreqMatrix(np.full((4, 7), 0.5))
+    assert (pi.n_loci, pi.n_individuals) == (4, 7)
 
 
 def test_numeric_rank_transpose_invariant():

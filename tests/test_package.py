@@ -1,13 +1,16 @@
 """The package's public surface: adding or removing a name is a reviewed edit here."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
 import types
+from pathlib import Path
 
 import scipy.optimize
 
 import admixid
+from admixid import cli
 
 PUBLIC_NAMES = [
     "AdmixtureMatrix", "AmbiguousAssignment", "ConditionReport", "CounterexamplePair",
@@ -64,3 +67,12 @@ def test_traced_functions_are_bound_where_the_metrics_look():
                for info in pkgutil.iter_modules(admixid.__path__)]
     for solver in ("nnls", "lsq_linear"):
         assert any(vars(m).get(solver) is getattr(scipy.optimize, solver) for m in modules)
+
+
+def test_cli_imports_no_private_name():
+    # the command layer reaches every other module through its public names only
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -25,8 +25,8 @@ from admixid import (
     generate_instance,
     unadmixed_missing_anchor,
 )
-from admixid.cli import _genotype_text
 from admixid.matrices import max_abs
+from admixid.simulate import _genotype_text
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 

@@ -24,10 +24,9 @@ from admixid import (
     simulate_genotypes,
     write_matrix,
 )
-from admixid import matrices
+from admixid import simulate
 from admixid.cli import main
-from admixid.matrices import _product_blocks
-from admixid.simulate import _BLOCK_WORDS
+from admixid.simulate import _BLOCK_WORDS, _product_blocks
 
 
 def test_zero_probabilities_give_zero_genotypes():
@@ -220,6 +219,13 @@ def test_genotype_matrix_copies_integer_input():
     assert not g.values.flags.writeable
 
 
+def test_genotype_matrix_shape_and_dimension_guard():
+    g = GenotypeMatrix(np.zeros((4, 7), dtype=np.int8))
+    assert (g.n_loci, g.n_individuals) == (4, 7)
+    with pytest.raises(ValueError, match="must be 2-D"):
+        GenotypeMatrix([0, 1, 2])
+
+
 def test_simulate_holds_one_full_size_int64_array():
     # the draw fills a one-byte buffer, and GenotypeMatrix's int64 copy is
     # the only full-size array; an int64 buffer would double the peak
@@ -317,7 +323,7 @@ def test_product_blocks_skip_only_a_range_check_that_cannot_fail(
     if skips:
         multiply(pair.F, pair.Q, tol)
         assert fits
-    with mock.patch.object(matrices, "_check_unit_range", wraps=matrices._check_unit_range) as spy:
+    with mock.patch.object(simulate, "ExpectedFreqMatrix", wraps=ExpectedFreqMatrix) as spy:
         if fits:
             got = [(a, p.copy()) for a, p in _product_blocks(pair, cells, tol)]
             assert [a for a, _ in got] == starts
