@@ -45,16 +45,23 @@ __all__ = [
     "anchor_F_rows",
     "basis_distances",
     "classify",
+    "max_populations",
+    "unadmixed_columns",
 ]
 
 
-# regime -> (its two conditions, its member flag, its K bound from (M, N)), as
-# ConditionReport flag names in the order recovery validates them
+# regime -> (its two conditions, its member flag, its K bound from (M, N)), flags named
+# as in ConditionReport; other modules ask max_populations and ConditionReport.failed_flag
 _MODEL_CLASSES = {
     "anchorQ": (("anchor_Q", "indep_F"), "member_anchor_q_model", lambda m, n: min(m + 1, n)),
     "anchorF": (("anchor_F", "indep_Q"), "member_anchor_f_model", lambda m, n: min(m, n)),
     "unadmixed": (("distinct_cols_F", "unadmixed_Q"), "member_unadmixed_model", lambda m, n: n),
 }
+
+
+def max_populations(regime: str, m: int, n: int) -> int:
+    """The largest K the model class regime admits for M loci and N individuals."""
+    return _MODEL_CLASSES[regime][2](m, n)
 
 
 def basis_distances(q: np.ndarray) -> np.ndarray:
@@ -72,7 +79,7 @@ def basis_distances(q: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(q - 1), np.where(a == first, second, first))
 
 
-def _unadmixed_columns(q: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def unadmixed_columns(q: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Each column's argmax population, and the columns farther than eq_tol
     from that population's basis vector."""
     nearest = q.argmax(axis=0)
@@ -124,7 +131,7 @@ def check_distinct_columns(F: FrequencyMatrix, tol: Tolerance = DEFAULT_TOL) -> 
 
 def check_unadmixed(Q: AdmixtureMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff every column of Q is a basis vector and every basis vector occurs."""
-    nearest, off = _unadmixed_columns(Q.values, tol)
+    nearest, off = unadmixed_columns(Q.values, tol)
     return not off.size and np.unique(nearest).size == Q.n_pops
 
 
@@ -154,6 +161,11 @@ class ConditionReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def failed_flag(self, regime: str) -> str | None:
+        """The first of regime's flags that fails, conditions before membership, or None."""
+        conditions, member, _ = _MODEL_CLASSES[regime]
+        return next((f for f in (*conditions, member) if not getattr(self, f)), None)
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import DEFAULT_TOL, Tolerance, _first_nonzero_positive, numeric_rank
+from .matrices import DEFAULT_TOL, Tolerance, numeric_rank
 
 __all__ = [
     "has_unique_decompositions",
     "has_unique_conic_decompositions",
-    "null_shift_direction",
     "shift_to_boundary",
 ]
 
@@ -48,23 +47,6 @@ def has_unique_conic_decompositions(generators, tol: Tolerance = DEFAULT_TOL) ->
     """True iff every point of the wedge has one conic decomposition (rows independent)."""
     r = _columns(generators, "row")
     return numeric_rank(r, tol) == r.shape[0]
-
-
-def null_shift_direction(generators) -> np.ndarray:
-    """A zero-sum weight direction d with (generators) @ d = 0, unit max entry.
-
-    Built from a right null vector of the column differences, so moving any
-    decomposition along d keeps both the reconstructed point and the weight
-    sum fixed. Sign is fixed so the first nonvanishing component is positive.
-    Callers must ensure the generators do not force unique decompositions.
-    """
-    g = _columns(generators)
-    diffs = g[:, :-1] - g[:, -1:]
-    _, _, vt = np.linalg.svd(diffs, full_matrices=True)
-    alpha = vt[-1]
-    d = np.concatenate([alpha, [-alpha.sum()]])
-    d /= np.max(np.abs(d))
-    return _first_nonzero_positive(d)
 
 
 def shift_to_boundary(weights: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import (
-    _unadmixed_columns,
     check_anchor_F,
     check_anchor_Q,
     check_distinct_columns,
     check_indep_F,
     check_indep_Q,
+    unadmixed_columns,
 )
-from .convex import null_shift_direction, shift_to_boundary
+from .convex import shift_to_boundary
 from .equivalence import are_equivalent
 from .matrices import (
     DEFAULT_TOL,
@@ -35,9 +35,10 @@ from .matrices import (
     Tolerance,
     max_abs,
     max_abs_distances,
+    null_shift_direction,
     null_space_vector,
 )
-from .matrixio import _json_rows
+from .matrixio import json_rows
 
 __all__ = [
     "PreconditionViolated",
@@ -112,7 +113,7 @@ class CounterexamplePair:
     def to_json(self, indent: int | None = 2) -> str:
         """json.dumps(self.to_dict(), indent=indent), byte for byte.
 
-        With an indent, one matrixio._json_rows call writes the four matrices with
+        With an indent, one matrixio.json_rows call writes the four matrices with
         json's separators for it (a vectorized exact repr on large matrices, json's
         C encoder on small ones); json.dumps writes the rest.
         """
@@ -123,7 +124,7 @@ class CounterexamplePair:
         ind = " " * indent
         # a matrix sits at depth 2, its rows at depth 3 and their cells at depth 4
         d2, d3, d4 = (f"\n{ind * depth}" for depth in (2, 3, 4))
-        rows = iter(_json_rows(matrices, f",{d4}", f"{d3}],{d3}[{d4}"))
+        rows = iter(json_rows(matrices, f",{d4}", f"{d3}],{d3}[{d4}"))
         # the head is a nonempty dict, so its text ends in "\n}"
         parts = [json.dumps(self._head(), indent=indent)[:-2]]
         for key in pairs:
@@ -480,7 +481,7 @@ def unadmixed_missing_anchor(
     if not check_distinct_columns(F, tol):
         raise PreconditionViolated("F columns must be pairwise distinct")
     k_pops = Q.n_pops
-    nearest, off = _unadmixed_columns(Q.values, tol)
+    nearest, off = unadmixed_columns(Q.values, tol)
     if off.size:
         raise PreconditionViolated(f"Q column {off[0]} is not a basis vector")
     missing = np.setdiff1d(np.arange(k_pops), nearest)

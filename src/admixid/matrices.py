@@ -26,6 +26,7 @@ __all__ = [
     "multiply",
     "numeric_rank",
     "null_space_vector",
+    "null_shift_direction",
 ]
 
 
@@ -229,3 +230,22 @@ def null_space_vector(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray | None:
         return None
     u, _, _ = np.linalg.svd(arr, full_matrices=True)
     return _first_nonzero_positive(u[:, -1])
+
+
+def null_shift_direction(generators) -> np.ndarray:
+    """A zero-sum weight direction d with (generators) @ d = 0, unit max entry.
+
+    Built from a right null vector of the column differences, so moving any
+    decomposition along d keeps both the reconstructed point and the weight
+    sum fixed. Sign is fixed so the first nonvanishing component is positive.
+    Callers must ensure the generators do not force unique decompositions.
+    """
+    g = np.asarray(generators, dtype=float)
+    if g.ndim != 2:
+        raise DimensionMismatch("null_shift_direction expects a 2-D array")
+    diffs = g[:, :-1] - g[:, -1:]
+    _, _, vt = np.linalg.svd(diffs, full_matrices=True)
+    alpha = vt[-1]
+    d = np.concatenate([alpha, [-alpha.sum()]])
+    d /= np.max(np.abs(d))
+    return _first_nonzero_positive(d)

@@ -15,7 +15,7 @@ Every other file goes to np.loadtxt; one it fails on, finds empty or not
 finite goes to a line loop of float() calls, which reports the 1-based line
 and column of the error.
 
-write_matrix writes each cell as "%.17g" % x, and _json_rows a report's
+write_matrix writes each cell as "%.17g" % x, and json_rows a report's
 matrices as json.dumps writes them (repr(x)). From _G17_MIN_CELLS and
 _REPR_MIN_CELLS cells on, unless two thirds of them are whole numbers, and on
 the same x87 platform, one vectorized pass over blocks of cells does it,
@@ -46,7 +46,7 @@ import warnings
 
 import numpy as np
 
-__all__ = ["ParseError", "ShapeError", "read_matrix", "write_matrix"]
+__all__ = ["ParseError", "ShapeError", "json_rows", "read_matrix", "write_matrix"]
 
 # The x87 80-bit long double, in 16 bytes with its 64-bit significand first: it holds
 # every |D| < 10**18 and every 10**k with k <= 27 (5**27 < 2**64) exactly, so D / 10**k
@@ -327,7 +327,7 @@ def write_matrix(path, values) -> None:
         fh.write("".join(fmt % tuple(row) for row in arr.tolist()))
 
 
-def _json_rows(matrices: list, cell: str, row: str) -> list[str]:
+def json_rows(matrices: list, cell: str, row: str) -> list[str]:
     """The text of each nonempty 2-D float matrix as json writes it, without the outer
     brackets: its cells joined by cell and its rows by row, such as json's indented
     separators, or ", " and "], [" for json.dumps(m.tolist())[2:-2]."""

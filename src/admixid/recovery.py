@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
 
-from .conditions import _MODEL_CLASSES, classify
+from .conditions import classify
 from .convex import has_unique_conic_decompositions, has_unique_decompositions
 from .matrices import (
     DEFAULT_TOL,
@@ -176,13 +176,9 @@ def _finalize(
         raise DecompositionInfeasible(
             f"reconstruction residual {residual:.3g} exceeds 10x eq_tol"
         )
-    report = classify(F, Q, tol)
-    conditions, member, _ = _MODEL_CLASSES[regime]
-    for flag in (*conditions, member):
-        if not getattr(report, flag):
-            raise RecoveryError(
-                f"recovered pair fails {flag} validation for regime {regime}"
-            )
+    flag = classify(F, Q, tol).failed_flag(regime)
+    if flag:
+        raise RecoveryError(f"recovered pair fails {flag} validation for regime {regime}")
     return RecoveredFactorization(F, Q, regime, residual, warnings)
 
 
@@ -363,25 +359,19 @@ def _less_lifted(resid: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return resid
 
 
-def _sweep(points, kept: list[int], scan_order, tol: Tolerance, unit_sum) -> list[int]:
-    """Drops from kept each column of points that the other survivors generate.
+def _sweep(points, kept: list[int], tol: Tolerance, unit_sum) -> list[int]:
+    """Drops from kept, in turn, each column of points the other survivors generate.
 
-    The solves run in the column coordinates of the thin SVD of the kept
-    columns; unit_sum asks for convex rather than nonnegative combinations.
+    The solves run in the column coordinates of the thin SVD of the kept columns
+    in sorted order; unit_sum asks for convex rather than nonnegative combinations.
     """
-    _, s, vt = span_svd(points[:, kept])
+    cols = sorted(kept)
+    _, s, vt = span_svd(points[:, cols])
     coords = np.zeros((s.size, points.shape[1]))
-    coords[:, kept] = s[:, None] * vt
+    coords[:, cols] = s[:, None] * vt
     alive = np.zeros(points.shape[1], dtype=bool)
     alive[kept] = True
-    if scan_order is None:
-        order = kept
-    else:
-        kept_set = set(kept)
-        order = [i for i in scan_order if i in kept_set]
-    for j in order:
-        if not alive[j]:
-            continue
+    for j in kept:
         alive[j] = False
         others = np.flatnonzero(alive)
         if not others.size or _fit(
@@ -579,7 +569,7 @@ def _recover_anchors(pi: ExpectedFreqMatrix, tol: Tolerance, conic: bool):
     clear = _picks_stand_clear(targets if conic else scratch, index[reps], index[picks], tol)
     # the certificate where the picks stand clear; it breaks or falls through to the sweep
     for certify in (clear, False):
-        kept = index[picks if certify else _sweep(points, reps, None, tol, not conic)]
+        kept = index[picks if certify else _sweep(points, reps, tol, not conic)]
         try:
             gens, r, weights, misfits = _pass_over(targets, kept, tol, conic, scratch)
         except (NonUniqueDecomposition, ScalingInfeasible):

@@ -34,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import _MODEL_CLASSES, classify
+from .conditions import classify, max_populations
 from .matrices import (
     DEFAULT_TOL,
     AdmixtureMatrix,
+    DimensionMismatch,
     ExpectedFreqMatrix,
     FactorPair,
     FrequencyMatrix,
@@ -88,9 +89,9 @@ class GenotypeMatrix:
     def __post_init__(self):
         arr = np.asarray(self.values)
         if arr.ndim != 2:
-            raise ValueError("genotype matrix must be 2-D")
+            raise DimensionMismatch("genotype matrix must be 2-D")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("genotype matrix must have at least one row and column")
+            raise DimensionMismatch("genotype matrix must have at least one row and column")
         # an integer array is integral already (a uint64 past int64 wraps negative);
         # a NaN or an infinity is refused before the cast, which would warn on it
         integral = arr.dtype.kind in "iu"
@@ -279,8 +280,7 @@ def generate_instance(
         ) from None
     if k < 1 or m < 1 or n < 1:
         raise DimensionBound("K, M, N must all be at least 1")
-    _, member, bound = _MODEL_CLASSES[regime]
-    limit = bound(m, n)
+    limit = max_populations(regime, m, n)
     if k > limit:
         raise DimensionBound(f"{regime} requires K <= {limit} for M={m}, N={n}; got K={k}")
     sampler = {
@@ -294,8 +294,7 @@ def generate_instance(
     for _ in range(_GENERATION_ATTEMPTS):
         f_vals, q_vals = sampler(rng, k, m, n)
         pair = FactorPair(FrequencyMatrix(f_vals, tol), AdmixtureMatrix(q_vals, tol))
-        report = classify(pair.F, pair.Q, tol)
-        if getattr(report, member):
+        if classify(pair.F, pair.Q, tol).failed_flag(regime) is None:
             return pair
     raise GenerationFailed(
         f"no {regime} member found in {_GENERATION_ATTEMPTS} attempts "

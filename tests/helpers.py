@@ -167,18 +167,26 @@ def decomposes_oracle(target, generators, tol, unit_sum):
     return not (unit_sum and abs(w.sum() - 1.0) > tol.eq_tol)
 
 
+def _in_scan_order(kept, scan_order):
+    """kept, or its members in the order of scan_order where one is given."""
+    return kept if scan_order is None else [i for i in scan_order if i in kept]
+
+
 def minimal_columns(points, tol=DEFAULT_TOL, scan_order=None):
     """The extreme points among the columns of points: recovery._sweep over the
-    columns the duplicate scan keeps, as recovery's fallback runs it."""
+    columns the duplicate scan keeps, as recovery's fallback runs it, examined in
+    scan_order where one is given."""
     p = np.asarray(points, dtype=float)
-    return _sweep(p, first_distinct_rows(p.T, tol), scan_order, tol, True)
+    return _sweep(p, _in_scan_order(first_distinct_rows(p.T, tol), scan_order), tol, True)
 
 
 def minimal_rows(rays, tol=DEFAULT_TOL, scan_order=None):
     """The extreme rays among the nonzero, nonnegative rows of rays: recovery._sweep
-    over the rows the scaled duplicate scan keeps, as recovery's fallback runs it."""
+    over the rows the scaled duplicate scan keeps, as recovery's fallback runs it,
+    examined in scan_order where one is given."""
     r = np.asarray(rays, dtype=float)
-    return _sweep(r.T, first_distinct_rows(r, tol, scaled=True), scan_order, tol, False)
+    kept = _in_scan_order(first_distinct_rows(r, tol, scaled=True), scan_order)
+    return _sweep(r.T, kept, tol, False)
 
 
 def rays_equal_up_to_scaling(x, y, tol=DEFAULT_TOL):

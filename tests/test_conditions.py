@@ -20,6 +20,7 @@ from admixid import (
     classify,
     generate_instance,
 )
+from admixid.conditions import max_populations
 
 
 def F(values):
@@ -116,6 +117,23 @@ def test_classify_single_column_admixture():
     assert report.indep_Q is False
     assert not report.member_anchor_q_model
     assert not report.member_anchor_f_model
+
+
+def test_failed_flag_names_a_condition_before_membership():
+    # one individual: it anchors one population only, and Q's rank drops to 1
+    report = classify(F(np.eye(2)), Q([[1.0], [0.0]]))
+    assert report.failed_flag("anchorQ") == "anchor_Q"
+    assert report.failed_flag("anchorF") == "indep_Q"
+    assert report.failed_flag("unadmixed") == "unadmixed_Q"
+    both = classify(F(np.eye(2)), Q(np.eye(2)))
+    assert [both.failed_flag(r) for r in ("anchorQ", "anchorF", "unadmixed")] == [None] * 3
+
+
+def test_max_populations_per_model_class():
+    assert max_populations("anchorQ", 4, 10) == 5
+    assert max_populations("anchorQ", 4, 3) == 3
+    assert max_populations("anchorF", 4, 10) == 4
+    assert max_populations("unadmixed", 4, 10) == 10
 
 
 def test_classify_k_mismatch():

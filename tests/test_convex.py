@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admixid import has_unique_decompositions, recovery
-from admixid.convex import null_shift_direction, shift_to_boundary
-from admixid.matrices import DEFAULT_TOL, max_abs
+from admixid.convex import shift_to_boundary
+from admixid.matrices import DEFAULT_TOL, max_abs, null_shift_direction
 from admixid.recovery import nonneg_lstsq
 
 from helpers import decompose, decomposes_oracle, decomposition_misfits_oracle, minimal_columns

@@ -712,7 +712,7 @@ def g17_text(arr):
 
 
 def json_rows_text(matrices):
-    """What _json_rows must reproduce: each matrix's json.dumps without its outer brackets."""
+    """What json_rows must reproduce: each matrix's json.dumps without its outer brackets."""
     return [json.dumps(m.tolist())[2:-2] for m in matrices]
 
 
@@ -728,7 +728,7 @@ def assert_written_as_python_does(path, arr):
     write_matrix(path, arr)
     assert path.read_bytes() == g17_text(arr)
     pair = [arr, arr[::-1]]
-    assert matrixio._json_rows(pair, ", ", "], [") == json_rows_text(pair)
+    assert matrixio.json_rows(pair, ", ", "], [") == json_rows_text(pair)
     if np.isfinite(arr).all():
         assert read_matrix(path).tobytes() == arr.tobytes()
 
@@ -828,14 +828,14 @@ def test_only_large_matrices_of_fractions_take_the_vectorized_writer(tmp_path, m
     monkeypatch.setattr(matrixio, "_format_block", lambda *a: blocks.append(1) or real(*a))
     rng = np.random.default_rng(4)
     write_matrix(tmp_path / "small.csv", rng.uniform(size=(1, matrixio._G17_MIN_CELLS - 1)))
-    matrixio._json_rows([rng.uniform(size=(1, matrixio._REPR_MIN_CELLS - 1))], ", ", "], [")
+    matrixio.json_rows([rng.uniform(size=(1, matrixio._REPR_MIN_CELLS - 1))], ", ", "], [")
     assert not blocks
     # nor does a large one of whole numbers, which Python writes faster
     write_matrix(tmp_path / "whole.csv", np.eye(5)[:, rng.integers(0, 5, size=400)])
-    matrixio._json_rows([np.eye(5)[:, rng.integers(0, 5, size=400)]], ", ", "], [")
+    matrixio.json_rows([np.eye(5)[:, rng.integers(0, 5, size=400)]], ", ", "], [")
     assert not blocks
     write_matrix(tmp_path / "large.csv", rng.uniform(size=(1, matrixio._G17_MIN_CELLS)))
-    matrixio._json_rows([rng.uniform(size=(1, matrixio._REPR_MIN_CELLS))], ", ", "], [")
+    matrixio.json_rows([rng.uniform(size=(1, matrixio._REPR_MIN_CELLS))], ", ", "], [")
     assert len(blocks) == 2
 
 

@@ -10,7 +10,6 @@ from pathlib import Path
 import scipy.optimize
 
 import admixid
-from admixid import cli
 
 PUBLIC_NAMES = [
     "AdmixtureMatrix", "AmbiguousAssignment", "ConditionReport", "CounterexamplePair",
@@ -69,10 +68,33 @@ def test_traced_functions_are_bound_where_the_metrics_look():
         assert any(vars(m).get(solver) is getattr(scipy.optimize, solver) for m in modules)
 
 
-def test_cli_imports_no_private_name():
-    # the command layer reaches every other module through its public names only
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    private = [(node.module, alias.name) for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom)
-               for alias in node.names if alias.name.startswith("_")]
-    assert private == []
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _crossings(path: Path) -> list[tuple[str, str]]:
+    """The private names one module of the package takes from another: each
+    `from .x import _name`, and each `x._name` read through a module it imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "admixid"
+                                                 or node.module.startswith("admixid.")):
+            found += [(node.module, a.name) for a in node.names if _private(a.name)]
+            if node.module in (None, "admixid"):  # from . import x: x is a module
+                modules |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name.startswith("admixid")}
+    found += [(ast.unparse(node.value), node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _private(node.attr)
+              and ast.unparse(node.value) in modules]
+    return found
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    # each decision has one owner module, and every other module reaches it through
+    # public names only
+    crossings = {path.stem: _crossings(path)
+                 for path in sorted(Path(admixid.__file__).parent.glob("*.py"))}
+    assert {stem: found for stem, found in crossings.items() if found} == {}
+    assert "cli" in crossings and "simulate" in crossings

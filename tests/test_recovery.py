@@ -443,3 +443,22 @@ def test_anchor_recovery_holds_two_p_sized_arrays_at_most(model_class):
     assert rec.n_pops == 5
     lifted = (pi.values.shape[0] + 1) * pi.values.shape[1] * pi.values.itemsize
     assert peak <= 2.05 * lifted
+
+
+def test_finalize_refuses_a_residual_over_ten_eq_tol():
+    # the decomposition pass accepts no column that misses by more than eq_tol, so no
+    # recovery reaches this refusal: factors whose product misses P by 20 eq_tol do
+    tol = Tolerance()
+    f = np.array([[0.2, 0.7], [0.5, 0.1], [0.9, 0.4]])
+    q = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
+    p = f @ q
+    p[1, 2] += 20 * tol.eq_tol
+    with pytest.raises(DecompositionInfeasible,
+                       match=r"^reconstruction residual 2e-07 exceeds 10x eq_tol$"):
+        recovery._finalize(ExpectedFreqMatrix(p), f, q, "anchorQ", tol, [])
+    # the same factors against their own product pass, or fail a flag of the regime
+    exact = ExpectedFreqMatrix(f @ q)
+    assert recovery._finalize(exact, f, q, "anchorQ", tol, []).residual == 0.0
+    with pytest.raises(RecoveryError,
+                       match=r"^recovered pair fails anchor_F validation for regime anchorF$"):
+        recovery._finalize(exact, f, q, "anchorF", tol, [])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from admixid import (
     AdmixtureMatrix,
     DimensionBound,
+    DimensionMismatch,
     EntryOutOfRange,
     ExpectedFreqMatrix,
     FactorPair,
@@ -224,6 +225,11 @@ def test_genotype_matrix_shape_and_dimension_guard():
     assert (g.n_loci, g.n_individuals) == (4, 7)
     with pytest.raises(ValueError, match="must be 2-D"):
         GenotypeMatrix([0, 1, 2])
+    # the error type of the other matrix types, which the CLI maps to exit 3
+    with pytest.raises(DimensionMismatch, match="genotype matrix must be 2-D"):
+        GenotypeMatrix([0, 1, 2])
+    with pytest.raises(DimensionMismatch, match="genotype matrix must have at least one row"):
+        GenotypeMatrix(np.zeros((0, 3), dtype=np.int8))
 
 
 def test_simulate_holds_one_full_size_int64_array():
