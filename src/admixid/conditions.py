@@ -13,13 +13,14 @@ Three families of conditions on an (F, Q) pair matter:
 The three identifiable regimes pair these up: anchor-on-Q with independent
 F columns, anchor-on-F with independent Q rows, and distinct-column F with
 unadmixed Q. classify() evaluates everything at once and reports membership
-together with the dimension bounds each regime needs.
+together with the dimension bounds each regime needs; failed_flag() evaluates
+one regime's two conditions and its bound alone, and names the first that fails.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .convex import has_unique_conic_decompositions, has_unique_decompositions
 from .matrices import (
     DEFAULT_TOL,
     AdmixtureMatrix,
-    DimensionMismatch,
+    FactorPair,
     FrequencyMatrix,
     Tolerance,
     max_abs_distances,
@@ -45,13 +46,14 @@ __all__ = [
     "anchor_F_rows",
     "basis_distances",
     "classify",
+    "failed_flag",
     "max_populations",
     "unadmixed_columns",
 ]
 
 
 # regime -> (its two conditions, its member flag, its K bound from (M, N)), flags named
-# as in ConditionReport; other modules ask max_populations and ConditionReport.failed_flag
+# as in ConditionReport; other modules ask max_populations and failed_flag
 _MODEL_CLASSES = {
     "anchorQ": (("anchor_Q", "indep_F"), "member_anchor_q_model", lambda m, n: min(m + 1, n)),
     "anchorF": (("anchor_F", "indep_Q"), "member_anchor_f_model", lambda m, n: min(m, n)),
@@ -62,6 +64,12 @@ _MODEL_CLASSES = {
 def max_populations(regime: str, m: int, n: int) -> int:
     """The largest K the model class regime admits for M loci and N individuals."""
     return _MODEL_CLASSES[regime][2](m, n)
+
+
+def _first_failed(regime: str, holds) -> str | None:
+    """The first of regime's flags, conditions before membership, that holds(flag) fails."""
+    conditions, member, _ = _MODEL_CLASSES[regime]
+    return next((f for f in (*conditions, member) if not holds(f)), None)
 
 
 def basis_distances(q: np.ndarray) -> np.ndarray:
@@ -160,41 +168,56 @@ class ConditionReport:
     member_unadmixed_model: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the fields in order, each witness list a copy
+        return {**vars(self), "anchor_F_rows": list(self.anchor_F_rows),
+                "anchor_Q_cols": list(self.anchor_Q_cols)}
 
     def failed_flag(self, regime: str) -> str | None:
         """The first of regime's flags that fails, conditions before membership, or None."""
-        conditions, member, _ = _MODEL_CLASSES[regime]
-        return next((f for f in (*conditions, member) if not getattr(self, f)), None)
+        return _first_failed(regime, lambda flag: getattr(self, flag))
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
+
+
+# condition flag, named as in ConditionReport -> what decides it for an (F, Q) pair: its
+# check, or an anchor condition's witness list, which holds where it holds no None
+_CONDITIONS = {
+    "anchor_F": lambda F, Q, tol: anchor_F_rows(F, tol),
+    "anchor_Q": lambda F, Q, tol: anchor_Q_columns(Q, tol),
+    "indep_F": lambda F, Q, tol: check_indep_F(F, tol),
+    "indep_Q": lambda F, Q, tol: check_indep_Q(Q, tol),
+    "distinct_cols_F": lambda F, Q, tol: check_distinct_columns(F, tol),
+    "unadmixed_Q": lambda F, Q, tol: check_unadmixed(Q, tol),
+}
+
+
+def _holds(evidence) -> bool:
+    return None not in evidence if isinstance(evidence, list) else evidence
 
 
 def classify(
     F: FrequencyMatrix, Q: AdmixtureMatrix, tol: Tolerance = DEFAULT_TOL
 ) -> ConditionReport:
     """Evaluate all conditions on an (F, Q) pair and report memberships."""
-    if F.n_pops != Q.n_pops:
-        raise DimensionMismatch(
-            f"F has {F.n_pops} populations but Q has {Q.n_pops}"
-        )
-    k_pops, m, n = F.n_pops, F.n_loci, Q.n_individuals
-    f_rows = anchor_F_rows(F, tol)
-    q_cols = anchor_Q_columns(Q, tol)
-    flags = {
-        "anchor_F": all(s is not None for s in f_rows),
-        "anchor_Q": all(i is not None for i in q_cols),
-        "indep_F": check_indep_F(F, tol),
-        "indep_Q": check_indep_Q(Q, tol),
-        "distinct_cols_F": check_distinct_columns(F, tol),
-        "unadmixed_Q": check_unadmixed(Q, tol),
-    }
-    members = {
-        member: all(flags[c] for c in conditions) and k_pops <= bound(m, n)
-        for conditions, member, bound in _MODEL_CLASSES.values()
-    }
+    pair = FactorPair(F, Q)  # F and Q must agree on K
+    k_pops, m, n = pair.n_pops, pair.n_loci, pair.n_individuals
+    evidence = {flag: decide(F, Q, tol) for flag, decide in _CONDITIONS.items()}
+    flags = {flag: _holds(e) for flag, e in evidence.items()}
+    members = {member: all(flags[c] for c in conditions) and k_pops <= bound(m, n)
+               for conditions, member, bound in _MODEL_CLASSES.values()}
     return ConditionReport(
-        K=k_pops, M=m, N=n, anchor_F_rows=f_rows, anchor_Q_cols=q_cols,
-        **flags, **members,
+        K=k_pops, M=m, N=n, anchor_F_rows=evidence["anchor_F"],
+        anchor_Q_cols=evidence["anchor_Q"], **flags, **members,
     )
+
+
+def failed_flag(F: FrequencyMatrix, Q: AdmixtureMatrix, regime: str,
+                tol: Tolerance = DEFAULT_TOL) -> str | None:
+    """classify(F, Q, tol).failed_flag(regime), from regime's two conditions, in
+    turn, and its K bound alone."""
+    pair = FactorPair(F, Q)
+    _, member, bound = _MODEL_CLASSES[regime]
+    within = pair.n_pops <= bound(pair.n_loci, pair.n_individuals)
+    return _first_failed(regime, lambda flag: within if flag == member
+                         else _holds(_CONDITIONS[flag](F, Q, tol)))

@@ -8,7 +8,7 @@ carries the permutation as a certificate, or a reason when none exists.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -35,7 +35,9 @@ class EquivalenceResult:
         return self.equivalent
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        permutation = None if self.permutation is None else list(self.permutation)
+        return {"equivalent": self.equivalent, "permutation": permutation,
+                "reason": self.reason}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

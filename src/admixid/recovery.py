@@ -9,9 +9,9 @@ Each identifiable regime has a constructive inverse:
 * unadmixed: F's columns are the distinct columns of P and Q assigns each
   individual to its matching column.
 
-All three validate their output (class membership and reconstruction
-residual) before returning, so success certifies that P belongs to the
-regime's image.
+All three validate their output (the regime's two conditions and K bound,
+conditions.failed_flag, and the reconstruction residual) before returning,
+so success certifies that P belongs to the regime's image.
 
 The anchor regimes mirror each other (rows scaled to unit sum have their
 cone's extreme rays as their hull's vertices), and one certified engine
@@ -37,7 +37,8 @@ minimizer is the full-space one, and each solve has r + 1 rows instead of
 one per entry. A decomposition pass is one lstsq over all its targets: with
 generators of full rank a solution with no negative weight is the NNLS one
 (Lawson & Hanson 1974), so NNLS runs only for a target with a weight below
-0, or for all when the rank falls short. Accepting a decomposition stays the
+0, or for all when the rank falls short, and once per distinct target (array
+passes match the copies in an unadmixed P). Accepting a decomposition stays the
 max-abs residual against eq_tol in the original space: eq_tol bounds entries
 of P, and an orthonormal change of coordinates keeps Euclidean lengths but
 not the largest entry.
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
 
-from .conditions import classify
+from .conditions import failed_flag
 from .convex import has_unique_conic_decompositions, has_unique_decompositions
 from .matrices import (
     DEFAULT_TOL,
@@ -176,7 +177,7 @@ def _finalize(
         raise DecompositionInfeasible(
             f"reconstruction residual {residual:.3g} exceeds 10x eq_tol"
         )
-    flag = classify(F, Q, tol).failed_flag(regime)
+    flag = failed_flag(F, Q, regime, tol)
     if flag:
         raise RecoveryError(f"recovered pair fails {flag} validation for regime {regime}")
     return RecoveredFactorization(F, Q, regime, residual, warnings)
@@ -188,6 +189,18 @@ def _scratch(buf, shape, order: str = "C") -> np.ndarray:
     if buf is None:
         return np.empty(shape, order=order)
     return buf.reshape(-1)[:math.prod(shape)].reshape(shape, order=order)
+
+
+def _equal_rows(a: np.ndarray, rows: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """Whether row rows[i] of a equals row to[i], entry by entry (their difference is
+    0, so neither holds a nan or an inf), compared a block of rows at a time."""
+    same = np.empty(len(rows), dtype=bool)
+    step = max(1, 8192 // max(1, a.shape[1]))  # operands of 64 KiB, or of one row
+    for at in range(0, len(rows), step):
+        diff = a[rows[at:at + step]]
+        diff -= a[to[at:at + step]]
+        same[at:at + step] = ~diff.any(axis=1)
+    return same
 
 
 def first_distinct_rows(
@@ -204,6 +217,9 @@ def first_distinct_rows(
     row is compared, in a single array operation, only with the kept rows
     before it inside that window. A row alone in its window is kept without
     a comparison, so the loop runs only over the rows with a neighbour.
+    Unscaled, a copy of the first row with its sort key goes with or for that
+    row, so one blockwise compare drops every copy before the loop. Scaled rows
+    take no such shortcut: s can miss 1 by an ulp, past an eq_tol under 1e-16.
     Memory stays linear in the size of a. With scaled, the unit directions
     take an array of a's size: in scratch's first cells where it is given,
     C-ordered, which is a's own layout in every caller.
@@ -226,12 +242,18 @@ def first_distinct_rows(
         width = 2.0 * tol.eq_tol
     key = keys[:, int(np.argmax(np.ptp(keys, axis=0)))]
     order = np.argsort(key, kind="stable")
-    lo = np.searchsorted(key[order], key - width, side="left")
-    hi = np.searchsorted(key[order], key + width, side="right")
+    sorted_key = key[order]
+    lo = np.searchsorted(sorted_key, key - width, side="left")
+    hi = np.searchsorted(sorted_key, key + width, side="right")
     # a window always holds its own row; one that holds no other keeps it, but may
     # lie inside a later row's wider (scaled) window, so a row sees only earlier ones
     kept = hi - lo == 1
-    for j in np.flatnonzero(~kept):
+    settled = kept.copy()
+    if not scaled:
+        first = order[np.searchsorted(sorted_key, key, side="left")]
+        copies = np.flatnonzero(first != np.arange(n))
+        settled[copies[_equal_rows(a, copies, first[copies])]] = True
+    for j in np.flatnonzero(~settled):
         near = order[lo[j]:hi[j]]
         near = near[kept[near] & (near < j)]
         if near.size:
@@ -316,7 +338,8 @@ def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance, qr=None
     misfits[i] their misfit as _fit has it, from one QR and one lstsq. The
     caller passes the QR as qr when it has it. _fit redoes the targets the
     module docstring names, up to the first past eq_tol, once for each target
-    that is not bit for bit an earlier one (whose coordinates are then too).
+    that is not an earlier one's twin (equal to it, with bit for bit the same
+    coordinates); a twin before that point takes the earlier one's weights.
     The |residual| of the weights, lifted with unit_sum, is formed in out where
     it is given, an array of its shape. Where every misfit is within eq_tol,
     the columns of the targets _fit redid are rewritten there; a later twin's
@@ -331,23 +354,42 @@ def _decompositions(targets, generators, unit_sum: bool, tol: Tolerance, qr=None
     resid = _less_lifted(np.matmul(gens, weights, out=out), targets)
     misfits = np.abs(resid, out=resid).max(axis=0, initial=0.0)
     cols = np.arange(generators.shape[1])
-    redone: dict[bytes, list[int]] = {}  # coordinates -> the redone targets with them
-    fitted = []
-    for i in np.flatnonzero((weights < 0).any(axis=0) | (rank < cols.size)):
-        twins = redone.setdefault(t_coords[:, i].tobytes(), [])
-        k = next((k for k in twins if targets[:, k].tobytes() == targets[:, i].tobytes()), None)
-        if k is None:
-            weights[:, i], misfits[i] = _fit(g_coords, t_coords[:, i], generators, cols,
-                                             targets[:, i], unit_sum)
-            twins.append(i)
-            fitted.append(i)
-        else:
-            weights[:, i], misfits[i] = weights[:, k], misfits[k]
+    redo = np.flatnonzero((weights < 0).any(axis=0) | (rank < cols.size))
+    source = _first_twins(t_coords[:, redo], targets.T, redo)
+    fitted = redo[source == redo]
+    end = targets.shape[1]
+    for i in fitted:
+        weights[:, i], misfits[i] = _fit(g_coords, t_coords[:, i], generators, cols,
+                                         targets[:, i], unit_sum)
         if misfits[i] > tol.eq_tol:
-            return weights, misfits  # every caller stops at the first such target
-    if fitted:
+            end = i  # every caller stops at the first such target
+            break
+    twin = (source != redo) & (redo < end)
+    weights[:, redo[twin]] = weights[:, source[twin]]
+    misfits[redo[twin]] = misfits[source[twin]]
+    if end == targets.shape[1] and fitted.size:
         resid[:, fitted] = np.abs(_less_lifted(gens @ weights[:, fitted], targets[:, fitted]))
     return weights, misfits
+
+
+def _first_twins(coords: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """For each of the rows idx (increasing) of rows, the first of them it equals with
+    bit for bit its column of coords. One stable sort groups the coordinates, and a round
+    compares each group's pending rows with its first; a group takes a round per value."""
+    if not idx.size:
+        return idx
+    bits = coords.view(np.int64)
+    pending = np.lexsort(bits)  # positions in idx, increasing within a group
+    source = idx.copy()
+    while pending.size:
+        head = np.ones(pending.size, dtype=bool)  # each group's first pending row
+        head[1:] = (bits[:, pending[1:]] != bits[:, pending[:-1]]).any(axis=0)
+        lead = pending[head][np.cumsum(head) - 1]
+        same = head.copy()
+        same[~head] = _equal_rows(rows, idx[pending[~head]], idx[lead[~head]])
+        source[pending[same]] = idx[lead[same]]
+        pending = pending[~same]
+    return source
 
 
 def _less_lifted(resid: np.ndarray, targets: np.ndarray) -> np.ndarray:

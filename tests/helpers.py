@@ -189,6 +189,20 @@ def minimal_rows(rays, tol=DEFAULT_TOL, scan_order=None):
     return _sweep(r.T, kept, tol, False)
 
 
+def oracle_distinct(vectors, tol, scaled=False):
+    """recovery.first_distinct_rows as the pairwise loop: each row against every row
+    kept before it, by max-abs distance or, with scaled, by rays_equal_up_to_scaling."""
+    kept = []
+    for j in range(vectors.shape[0]):
+        if scaled:
+            same = [rays_equal_up_to_scaling(vectors[i], vectors[j], tol) for i in kept]
+        else:
+            same = [max_abs(vectors[j] - vectors[i]) <= tol.eq_tol for i in kept]
+        if not any(same):
+            kept.append(j)
+    return kept
+
+
 def rays_equal_up_to_scaling(x, y, tol=DEFAULT_TOL):
     """True iff y is a positive multiple of x within eq_tol: the pairwise rule of
     first_distinct_rows(scaled=True)."""

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admixid import (
     AdmixtureMatrix,
@@ -20,7 +22,15 @@ from admixid import (
     classify,
     generate_instance,
 )
-from admixid.conditions import max_populations
+from admixid.conditions import failed_flag, max_populations
+from admixid.matrices import Tolerance
+
+from helpers import (
+    anchor_q_with_interior,
+    dependent_f_values,
+    dependent_q_values,
+    interior_q_values,
+)
 
 
 def F(values):
@@ -127,6 +137,58 @@ def test_failed_flag_names_a_condition_before_membership():
     assert report.failed_flag("unadmixed") == "unadmixed_Q"
     both = classify(F(np.eye(2)), Q(np.eye(2)))
     assert [both.failed_flag(r) for r in ("anchorQ", "anchorF", "unadmixed")] == [None] * 3
+
+
+REGIMES = ("anchorQ", "anchorF", "unadmixed")
+CONDITIONS = ("anchor_F", "anchor_Q", "indep_F", "indep_Q", "distinct_cols_F", "unadmixed_Q")
+
+
+def pair_breaking(rng, condition, k, m, n):
+    """F with an anchor row per population and Q unadmixed, with every population
+    where n >= k: a member of all three classes, until condition is broken (None
+    breaks none). Breaking one condition may break others with it."""
+    f = rng.uniform(0.1, 0.9, size=(m, k))
+    f[:k][np.eye(k, dtype=bool)[:m]] = rng.uniform(0.2, 1.0, size=min(m, k))
+    f[:k][~np.eye(k, dtype=bool)[:m]] = 0.0
+    q = np.eye(k)[:, np.concatenate([np.arange(min(k, n)), rng.integers(k, size=n - min(k, n))])]
+    if condition == "anchor_F":
+        f = rng.uniform(0.1, 0.9, size=(m, k))
+    elif condition == "anchor_Q":
+        q = interior_q_values(rng, k, n)
+    elif condition == "indep_F" and k > 1:
+        f = dependent_f_values(rng, m, k)
+    elif condition == "indep_Q" and 1 < k <= n + 1:
+        q = dependent_q_values(rng, k, n)
+    elif condition == "distinct_cols_F" and k > 1:
+        f[:, 1] = f[:, 0]
+    elif condition == "unadmixed_Q" and n > k:
+        q = anchor_q_with_interior(rng, k, n)
+    return f, q
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), condition=st.sampled_from((None, *CONDITIONS)),
+       k=st.integers(1, 4), m=st.integers(1, 6), n=st.integers(1, 6),
+       eq_tol=st.sampled_from([1e-8, 0.5, 0.75]))
+def test_failed_flag_of_a_pair_equals_the_reports(seed, condition, k, m, n, eq_tol):
+    # a regime's own conditions and K bound name the flag a whole report does
+    tol = Tolerance(eq_tol=eq_tol)
+    f, q = pair_breaking(np.random.default_rng(seed), condition, k, m, n)
+    f_mat, q_mat = FrequencyMatrix(f, tol), AdmixtureMatrix(q, tol)
+    report = classify(f_mat, q_mat, tol)
+    for regime in REGIMES:
+        assert failed_flag(f_mat, q_mat, regime, tol) == report.failed_flag(regime)
+
+
+def test_failed_flag_names_membership_where_only_the_k_bound_fails():
+    # at eq_tol 0.5 one column (0.5, 0.5) anchors both populations, so K = 2 passes
+    # anchorQ's conditions with N = 1, over its bound min(M + 1, N)
+    tol = Tolerance(eq_tol=0.5)
+    f_mat, q_mat = FrequencyMatrix([[0.2, 0.9]], tol), AdmixtureMatrix([[0.5], [0.5]], tol)
+    assert classify(f_mat, q_mat, tol).failed_flag("anchorQ") == "member_anchor_q_model"
+    assert failed_flag(f_mat, q_mat, "anchorQ", tol) == "member_anchor_q_model"
+    with pytest.raises(DimensionMismatch):
+        failed_flag(F(np.eye(2)), Q(np.eye(3)), "anchorQ")
 
 
 def test_max_populations_per_model_class():

@@ -375,3 +375,27 @@ def test_rank_deficient_generators_decompose_exactly_as_one_fit_per_column(monke
     for unit_sum in (True, False):
         w = recovery._decompositions(targets[:, :1], g, unit_sum, DEFAULT_TOL)[0]
         assert w.tobytes() == per_column(targets[:, :1], g, unit_sum)[0].tobytes()
+
+
+@pytest.mark.parametrize("unit_sum", [True, False])
+def test_twins_after_the_first_refused_target_match_one_fit_per_column(monkeypatch, unit_sum):
+    # a duplicated generator redoes every target. Copies of a target sit before and after
+    # the first refused one, and `off` differs from `inside` only in the last row, where
+    # the generators are 0: it shares inside's coordinates bit for bit, yet is no twin
+    g = cols([0.2, 0.8, 0.5, 0.0], [0.2, 0.8, 0.5, 0.0], [0.7, 0.3, 0.1, 0.0])
+    inside, face = g @ [0.3, 0.3, 0.4], g[:, 2]
+    off, far = inside + [0.0, 0.0, 0.0, 0.5], [0.9, 0.9, 0.9, 0.0]
+    targets = cols(inside, face, *[inside] * 10, face, off, inside, face, off, far, inside)
+    basis = np.linalg.qr(g)[0]
+    assert (basis.T @ off).tobytes() == (basis.T @ inside).tobytes()
+    want_w, want_misfits = per_column(targets, g, unit_sum)
+    first = np.flatnonzero(want_misfits > DEFAULT_TOL.eq_tol)[0]
+    assert first == 13
+    fits = []
+    monkeypatch.setattr(recovery, "_fit", counted_fit(fits))
+    weights, misfits = recovery._decompositions(targets, g, unit_sum, DEFAULT_TOL)
+    assert np.flatnonzero(misfits > DEFAULT_TOL.eq_tol)[0] == first
+    assert weights[:, :first + 1].tobytes() == want_w[:, :first + 1].tobytes()
+    assert misfits[:first + 1].tobytes() == want_misfits[:first + 1].tobytes()
+    # once per distinct target up to the refused one: inside, face and off
+    assert len(fits) == len(set(fits)) == 3

@@ -45,7 +45,7 @@ from helpers import (
     margins_oracle,
     minimal_columns,
     minimal_rows,
-    rays_equal_up_to_scaling,
+    oracle_distinct,
     successive_projection_oracle,
 )
 
@@ -54,18 +54,6 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 # ---- oracles ---------------------------------------------------------------
-
-def oracle_distinct(vectors, tol, scaled=False):
-    kept = []
-    for j in range(vectors.shape[0]):
-        if scaled:
-            same = [rays_equal_up_to_scaling(vectors[i], vectors[j], tol) for i in kept]
-        else:
-            same = [max_abs(vectors[j] - vectors[i]) <= tol.eq_tol for i in kept]
-        if not any(same):
-            kept.append(j)
-    return kept
-
 
 def oracle_sweep(points, kept, tol, unit_sum):
     keep = set(kept)
@@ -163,6 +151,67 @@ def test_first_distinct_rows_matches_pairwise_scan(seed, gap, n, d, copies):
     rng = np.random.default_rng(seed)
     a = planted_duplicates(rng, rng.uniform(size=(n, d)), copies, gap * TOL.eq_tol, False)
     assert first_distinct_rows(a, TOL) == oracle_distinct(a, TOL)
+
+
+def copies_and_key_sharers(rng, base, copies, near, sharers, gap):
+    """base rows, with column 0 (the widest, so the sort key) spread over [0, 10],
+    then rows inserted at random places after their source: exact copies, some with
+    a 0.0 turned to -0.0; near-duplicates moved by exactly gap (max-abs); and rows
+    equal to their source but for one entry past column 0, so they share its key."""
+    base = base.copy()
+    base[:, 0] *= 10.0
+    rows = list(base)
+    for kind in ["copy"] * copies + ["near"] * near + ["sharer"] * sharers:
+        at = int(rng.integers(len(rows)))
+        row = rows[at].copy()
+        if kind == "copy":
+            row[row == 0.0] = rng.choice([0.0, -0.0])
+        elif kind == "near":
+            move = rng.uniform(-gap, gap, size=row.shape)
+            move[rng.integers(row.size)] = gap * rng.choice([-1.0, 1.0])
+            row += move
+        elif row.size > 1:
+            row[rng.integers(1, row.size)] += rng.choice([0.5, 3.0]) * gap
+        rows.insert(int(rng.integers(at + 1, len(rows) + 1)), row)
+    return np.array(rows)
+
+
+@PROPERTY
+@given(seed=seeds, gap=gaps, n=st.integers(1, 6), d=st.integers(1, 6),
+       copies=st.integers(0, 40), near=st.integers(0, 6), sharers=st.integers(0, 6))
+def test_first_distinct_rows_settles_exact_copies_as_the_pairwise_scan(
+    seed, gap, n, d, copies, near, sharers
+):
+    # exact copies are dropped in one compare before the loop; near-duplicates, rows
+    # that only share the sort key, and -0.0 beside 0.0 must come out as the loop has them
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(size=(n, d))
+    base[rng.uniform(size=base.shape) < 0.3] = 0.0
+    a = copies_and_key_sharers(rng, base, copies, near, sharers, gap * TOL.eq_tol)
+    assert first_distinct_rows(a, TOL) == oracle_distinct(a, TOL)
+
+
+def test_scaled_first_distinct_rows_take_no_exact_copy_shortcut(monkeypatch):
+    # scaled, s = x.y / x.x can miss 1 by an ulp for y = x, and below eq_tol ~ 1e-16
+    # s x - y then keeps the copy: the scaled scan judges every copy by that rule
+    compares = []
+    equal_rows = recovery._equal_rows
+    monkeypatch.setattr(recovery, "_equal_rows",
+                        lambda *args: compares.append(args) or equal_rows(*args))
+    tiny = Tolerance(eq_tol=1e-18)
+    rng = np.random.default_rng(0)
+    kept_copy = []
+    for d in range(20, 40):
+        x = rng.uniform(size=(1, d))
+        a = np.vstack([x, x])
+        scale = (x @ x[0]) / np.einsum("ij,ij->i", x, x)
+        rule = [0] if np.abs(scale[:, None] * x - x).max() <= tiny.eq_tol else [0, 1]
+        assert first_distinct_rows(a, tiny, scaled=True) == rule
+        kept_copy.append(rule == [0, 1])
+        assert not compares
+        assert first_distinct_rows(a, tiny) == [0]
+        compares.clear()
+    assert any(kept_copy)
 
 
 @PROPERTY

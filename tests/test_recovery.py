@@ -425,24 +425,39 @@ def test_picks_without_a_bound_are_measured_by_nnls(case, monkeypatch):
     assert calls == (picks.size if want else 1)
 
 
-@pytest.mark.parametrize("model_class", ["anchorQ", "anchorF"])
-def test_anchor_recovery_holds_two_p_sized_arrays_at_most(model_class):
-    # one scratch array serves SPA's residual, the lifted copy of P, the pass's residual,
-    # the margins and F Q - P, next to SPA's projection: a third P-sized array at once
-    # would take the traced peak past 2.05 lifted copies of P
-    pair = generate_instance(model_class, 5, 400, 300, 1)
-    pi = ExpectedFreqMatrix(pair.F.values @ pair.Q.values)
-    recover = recover_anchor_Q if model_class == "anchorQ" else recover_anchor_F
-    recover(pi)  # warm: first calls allocate caches of their own
+def traced_peak(recover, pi):
+    """recover(pi) and its traced peak, in lifted copies of P, after a warm call:
+    first calls allocate caches of their own."""
+    recover(pi)
     tracemalloc.start()
     try:
         rec = recover(pi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return rec, peak / ((pi.values.shape[0] + 1) * pi.values.shape[1] * pi.values.itemsize)
+
+
+@pytest.mark.parametrize("model_class", ["anchorQ", "anchorF", "unadmixed"])
+def test_anchor_recovery_holds_two_p_sized_arrays_at_most(model_class):
+    # one scratch array serves SPA's residual, the lifted copy of P, the pass's residual,
+    # the margins and F Q - P, next to SPA's projection: a third P-sized array at once
+    # would take the traced peak past 2.05 lifted copies of P. Each of the unadmixed
+    # member's 300 columns (by the anchorQ path) copies one of 5: the duplicate scan
+    # and the pass settle the copies in blocks, with no temporary of P's size
+    pair = generate_instance(model_class, 5, 400, 300, 1)
+    pi = ExpectedFreqMatrix(pair.F.values @ pair.Q.values)
+    rec, peak = traced_peak(recover_anchor_F if model_class == "anchorF" else recover_anchor_Q, pi)
     assert rec.n_pops == 5
-    lifted = (pi.values.shape[0] + 1) * pi.values.shape[1] * pi.values.itemsize
-    assert peak <= 2.05 * lifted
+    assert peak <= 2.05
+
+
+def test_unadmixed_recovery_settles_copies_without_a_p_sized_temporary():
+    # the peak before copies were settled in blocks, 1.1407 lifted copies of P, plus 0.1
+    pair = generate_instance("unadmixed", 5, 400, 300, 1)
+    rec, peak = traced_peak(recover_unadmixed, ExpectedFreqMatrix(pair.F.values @ pair.Q.values))
+    assert rec.n_pops == 5
+    assert peak <= 1.1407 + 0.1
 
 
 def test_finalize_refuses_a_residual_over_ten_eq_tol():
